@@ -5,11 +5,22 @@ jumping between the finitely many radii at which something can change (a
 ball captures a new endpoint, a pair's cost reaches an agent).  Between two
 consecutive trigger radii nothing happens, so the discretization is exact.
 
+The sweeps work on arrays.  A *unit* is a single stop (whose members are the
+2n endpoints, costed by walking distance) or an unordered stop pair (whose
+members are the n agents, costed by route cost); a sweep holds one
+``(units x members)`` cost matrix and a boolean mask of the members still
+active.  At radius ``r`` a unit covers ``((C <= r) & active).sum(1)``
+members, and the next trigger is the least of the active members'
+retirement costs and, per eligible unit, the ``ceil(2n/k)``-th smallest cost
+over the active members.
+
 Tie-breaking is fixed throughout: candidates are examined in ascending index
-order, unordered candidate pairs in lexicographic order, and eligibility is
-re-evaluated after every opening because deactivations can disqualify later
-candidates at the same radius.  Identical inputs therefore always produce
-identical solutions and traces.
+order, unordered candidate pairs in lexicographic order, and only the first
+qualifying unit opens before eligibility is re-evaluated, because
+deactivations can disqualify later candidates at the same radius.  A unit is
+eligible while it adds a stop and fits the budget.  At each radius,
+retirements come before openings.  Identical inputs therefore always produce
+identical solutions and traces, and every trace radius is a Python float.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from .model import (
     RunTrace,
     Solution,
     TraceEvent,
-    as_stops,
+    induce_clustering,
     require_valid_structure,
     route_costs,
     solution_costs,
@@ -67,6 +78,54 @@ def hybrid_core_beta(lam: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Array helpers shared by the sweeps
+# ---------------------------------------------------------------------------
+
+
+def _ids(mask: np.ndarray) -> tuple[int, ...]:
+    return tuple(np.flatnonzero(mask).tolist())
+
+
+def _least_finite(values: np.ndarray) -> list[float]:
+    """The smallest finite entry of ``values`` as a one-element list, or []."""
+    finite = values[np.isfinite(values)]
+    return [float(finite.min())] if finite.size else []
+
+
+def _first_fit(costs: np.ndarray, live: np.ndarray, r: float, thr: int, eligible) -> int | None:
+    """First eligible unit (row) whose ball of radius ``r`` holds ``thr`` live members."""
+    rows = np.flatnonzero(eligible)
+    fits = ((costs[rows] <= r) & live).sum(axis=1) >= thr
+    return int(rows[fits.argmax()]) if fits.any() else None
+
+
+def _kth_costs(costs: np.ndarray, live: np.ndarray, thr: int) -> np.ndarray:
+    """Per unit (row), the ``thr``-th smallest cost over the live members."""
+    if np.count_nonzero(live) < thr:
+        return np.empty(0)
+    return np.partition(costs[:, live], thr - 1, axis=1)[:, thr - 1]
+
+
+def _open(unit, chosen: list[int], is_chosen: np.ndarray) -> tuple[int, ...]:
+    """Select the unit's stops not yet chosen; return them in index order."""
+    extra = tuple(c for c in unit if not is_chosen[c])
+    chosen.extend(extra)
+    is_chosen[list(extra)] = True
+    return extra
+
+
+def _pairs(m: int) -> np.ndarray:
+    """All unordered candidate pairs, in lexicographic order, as rows."""
+    return np.array(list(itertools.combinations(range(m), 2)), dtype=int).reshape(-1, 2)
+
+
+def _eligible_pairs(pairs: np.ndarray, is_chosen: np.ndarray, room: int) -> np.ndarray:
+    """Pairs that add at least one stop and fit in ``room`` more stops."""
+    new = np.count_nonzero(~is_chosen[pairs], axis=1)
+    return (new > 0) & (new <= room)
+
+
+# ---------------------------------------------------------------------------
 # Distance-radius sweep over single stops
 # ---------------------------------------------------------------------------
 
@@ -75,59 +134,29 @@ def gc_trsp(instance: Instance) -> tuple[Solution, RunTrace]:
     """Greedy capture over the agents' endpoints.
 
     Grows one radius ``r``; at each trigger, endpoints inside an already-open
-    ball are absorbed first, then every candidate whose ball holds at least
-    ``ceil(2n/k)`` active endpoints is opened.  Equivalent, event for event,
-    to :func:`greedy_capture` on the induced clustering instance.
+    ball are absorbed first, then candidates whose ball holds at least
+    ``ceil(2n/k)`` active endpoints open.  This is :func:`greedy_capture` on
+    the induced clustering instance, whose datapoints are the 2n endpoints.
     """
     require_valid_structure(instance)
-    n, m, k = instance.n, instance.m, instance.k
-    thr = coverage_threshold(n, k)
-    d = instance.endpoint_candidate_dists()
-    active = set(range(2 * n))
-    open_order: list[int] = []
-    is_open = [False] * m
-    events: list[TraceEvent] = []
-    radii = np.unique(d[np.isfinite(d)]) if d.size else np.empty(0)
-    for r in radii.tolist():
-        if not active:
-            break
-        if open_order:
-            caught = sorted(e for e in active if min(d[e, c] for c in open_order) <= r)
-            if caught:
-                active.difference_update(caught)
-                events.append(TraceEvent(radius=r, endpoints=tuple(caught)))
-        progress = True
-        while progress and active:
-            progress = False
-            for c in range(m):
-                if is_open[c]:
-                    continue
-                ball = sorted(e for e in active if d[e, c] <= r)
-                if len(ball) >= thr and thr > 0:
-                    is_open[c] = True
-                    open_order.append(c)
-                    active.difference_update(ball)
-                    events.append(TraceEvent(radius=r, opened=(c,), endpoints=tuple(ball)))
-                    progress = True
-    if active:
-        events.append(TraceEvent(radius=INF, endpoints=tuple(sorted(active))))
-    return Solution.of(open_order), RunTrace(tuple(events))
+    chosen, trace = greedy_capture(induce_clustering(instance))
+    return Solution.of(chosen), trace
 
 
 def greedy_capture(clustering: ClusteringInstance) -> tuple[tuple[int, ...], RunTrace]:
-    """Greedy capture on a clustering instance (independent twin of :func:`gc_trsp`).
+    """Greedy capture on a clustering instance, as a trigger-queue simulation.
 
-    Written as a trigger-queue simulation rather than a pass over sorted radii
-    so the two implementations cross-check each other.  Returns the selected
-    center indices in opening order and the trace over datapoint ids.
+    Returns the selected center indices in opening order and the trace over
+    datapoint ids.
     """
     n, m, kk = clustering.n, clustering.m, clustering.k
     if not 1 <= kk <= m:
         raise ValueError(f"invalid budget k={kk} for m={m}")
     thr = -(-n // kk)
-    d = clustering.point_center_dists()
+    dist = np.ascontiguousarray(clustering.point_center_dists().T)
     alive = np.ones(n, dtype=bool)
     chosen: list[int] = []
+    is_chosen = np.zeros(m, dtype=bool)
     events: list[TraceEvent] = []
     r = 0.0
     while alive.any():
@@ -135,43 +164,28 @@ def greedy_capture(clustering: ClusteringInstance) -> tuple[tuple[int, ...], Run
         while moved and alive.any():
             moved = False
             if chosen:
-                covered = alive & (d[:, chosen].min(axis=1) <= r)
+                covered = alive & (dist[chosen].min(axis=0) <= r)
                 if covered.any():
-                    events.append(
-                        TraceEvent(radius=r, endpoints=tuple(np.nonzero(covered)[0].tolist()))
-                    )
+                    events.append(TraceEvent(radius=r, endpoints=_ids(covered)))
                     alive &= ~covered
                     moved = True
-            for c in range(m):
-                if c in chosen:
-                    continue
-                ball = alive & (d[:, c] <= r)
-                if int(ball.sum()) >= thr:
-                    chosen.append(c)
-                    events.append(
-                        TraceEvent(radius=r, opened=(c,), endpoints=tuple(np.nonzero(ball)[0].tolist()))
-                    )
-                    alive &= ~ball
-                    moved = True
-                    break
+            c = _first_fit(dist, alive, r, thr, ~is_chosen)
+            if c is not None:
+                ball = alive & (dist[c] <= r)
+                events.append(TraceEvent(radius=r, opened=_open((c,), chosen, is_chosen),
+                                         endpoints=_ids(ball)))
+                alive &= ~ball
+                moved = True
         if not alive.any():
             break
-        triggers: list[float] = []
-        live_rows = d[alive]
+        triggers = _kth_costs(dist[~is_chosen], alive, thr)
         if chosen:
-            triggers.append(float(live_rows[:, chosen].min()))
-        n_alive = int(alive.sum())
-        if n_alive >= thr:
-            for c in range(m):
-                if c in chosen:
-                    continue
-                col = np.sort(live_rows[:, c])
-                triggers.append(float(col[thr - 1]))
-        nxt = min((t for t in triggers if t > r and math.isfinite(t)), default=INF)
-        if nxt == INF:
-            events.append(TraceEvent(radius=INF, endpoints=tuple(np.nonzero(alive)[0].tolist())))
+            triggers = np.append(triggers, dist[chosen][:, alive].min())
+        nxt = _least_finite(triggers[triggers > r])
+        if not nxt:
+            events.append(TraceEvent(radius=INF, endpoints=_ids(alive)))
             break
-        r = nxt
+        r = nxt[0]
     return tuple(chosen), RunTrace(tuple(events))
 
 
@@ -197,50 +211,33 @@ def eca(instance: Instance) -> tuple[Solution, RunTrace]:
     require_valid_structure(instance)
     n, m, k = instance.n, instance.m, instance.k
     thr = coverage_threshold(n, k)
-    pairs = list(itertools.combinations(range(m), 2))
-    pair_costs = {pair: solution_costs(instance, pair) for pair in pairs}
-    active = set(range(n))
+    pairs = _pairs(m)
+    pair_costs = solution_costs(instance, pairs)
+    active = np.ones(n, dtype=bool)
     chosen: list[int] = []
-    chosen_set: set[int] = set()
+    is_chosen = np.zeros(m, dtype=bool)
     events: list[TraceEvent] = []
     r = 0.0
-    while active:
-        costs = solution_costs(instance, chosen)
-        drop = sorted(i for i in active if costs[i] <= r)
-        if drop:
-            active.difference_update(drop)
-            events.append(TraceEvent(radius=r, agents=tuple(drop)))
-        opened_any = True
-        while opened_any and active:
-            opened_any = False
-            for pair in pairs:
-                extra = tuple(sorted(c for c in pair if c not in chosen_set))
-                if not extra or len(chosen) + len(extra) > k:
-                    continue
-                covered = sorted(i for i in active if pair_costs[pair][i] <= r)
-                if len(covered) >= thr and thr > 0:
-                    chosen.extend(extra)
-                    chosen_set.update(extra)
-                    active.difference_update(covered)
-                    events.append(TraceEvent(radius=r, opened=extra, agents=tuple(covered)))
-                    opened_any = True
-                    break
-        if not active:
+    costs = solution_costs(instance, chosen)
+    while active.any():
+        drop = active & (costs <= r)
+        if drop.any():
+            active &= ~drop
+            events.append(TraceEvent(radius=r, agents=_ids(drop)))
+        while (p := _first_fit(pair_costs, active, r, thr,
+                               _eligible_pairs(pairs, is_chosen, k - len(chosen)))) is not None:
+            covered = active & (pair_costs[p] <= r)
+            active &= ~covered
+            extra = _open(pairs[p].tolist(), chosen, is_chosen)
+            events.append(TraceEvent(radius=r, opened=extra, agents=_ids(covered)))
+            costs = solution_costs(instance, chosen)
+        if not active.any():
             break
-        costs = solution_costs(instance, chosen)
-        triggers = [float(costs[i]) for i in active if math.isfinite(costs[i])]
-        if len(active) >= thr > 0:
-            act = sorted(active)
-            for pair in pairs:
-                extra = [c for c in pair if c not in chosen_set]
-                if not extra or len(chosen) + len(extra) > k:
-                    continue
-                tc = np.sort(pair_costs[pair][act])
-                t = float(tc[thr - 1])
-                if math.isfinite(t):
-                    triggers.append(t)
+        eligible = _eligible_pairs(pairs, is_chosen, k - len(chosen))
+        triggers = _least_finite(costs[active])
+        triggers += _least_finite(_kth_costs(pair_costs[eligible], active, thr))
         if not triggers:
-            events.append(TraceEvent(radius=INF, agents=tuple(sorted(active))))
+            events.append(TraceEvent(radius=INF, agents=_ids(active)))
             break
         # A retirement trigger can sit at or below r after openings; revisit.
         r = max(r, min(triggers))
@@ -270,7 +267,8 @@ class HybridParams:
 
 
 def _bump_until(value: float, lam: float) -> float:
-    # Smallest r with lam*r >= value under float rounding.
+    # Smallest r with lam*r >= value under float rounding.  Monotone in
+    # value, so the least trigger of a set is the bump of its least entry.
     r = value / lam
     while lam * r < value:
         r = math.nextafter(r, INF)
@@ -303,114 +301,61 @@ def hybrid(instance: Instance, params: HybridParams | float) -> tuple[Solution, 
     require_valid_structure(instance)
     n, m, k = instance.n, instance.m, instance.k
     thr = coverage_threshold(n, k)
-    pairs = list(itertools.combinations(range(m), 2))
-    pair_costs = {pair: route_costs(instance, pair) for pair in pairs}
-    d = instance.endpoint_candidate_dists()
-    ep_active = [True] * (2 * n)
+    pairs = _pairs(m)
+    pair_costs = route_costs(instance, pairs)
+    dist = np.ascontiguousarray(instance.endpoint_candidate_dists().T)
+    ep_active = np.ones(2 * n, dtype=bool)
+    agent_eps = ep_active.reshape(n, 2)  # view: row i is agent i's two endpoints
     chosen: list[int] = []
-    chosen_set: set[int] = set()
+    is_chosen = np.zeros(m, dtype=bool)
     events: list[TraceEvent] = []
     r = 0.0
-
-    def fully_active(i: int) -> bool:
-        return ep_active[2 * i] and ep_active[2 * i + 1]
-
-    def dist_to_sel(e: int) -> float:
-        if not chosen:
-            return INF
-        return min(d[e, c] for c in chosen)
-
-    def within_gc(dist: float, radius: float) -> bool:
-        return dist <= lam * radius if lam > 0.0 else dist <= 0.0
+    costs = route_costs(instance, chosen)
 
     def retire_endpoints(radius: float) -> None:
-        gone = sorted(
-            e for e in range(2 * n) if ep_active[e] and within_gc(dist_to_sel(e), radius)
-        )
-        if gone:
-            for e in gone:
-                ep_active[e] = False
-            events.append(TraceEvent(radius=radius, endpoints=tuple(gone)))
+        if chosen:
+            gone = ep_active & (dist[chosen].min(axis=0) <= lam * radius)
+            if gone.any():
+                ep_active[gone] = False
+                events.append(TraceEvent(radius=radius, endpoints=_ids(gone)))
 
-    while any(ep_active):
-        costs = route_costs(instance, chosen)
-        gone_agents = sorted(i for i in range(n) if fully_active(i) and costs[i] <= r)
-        if gone_agents:
-            for i in gone_agents:
-                ep_active[2 * i] = ep_active[2 * i + 1] = False
-            events.append(TraceEvent(radius=r, agents=tuple(gone_agents)))
+    while ep_active.any():
+        gone_agents = agent_eps.all(axis=1) & (costs <= r)
+        if gone_agents.any():
+            agent_eps[gone_agents] = False
+            events.append(TraceEvent(radius=r, agents=_ids(gone_agents)))
         retire_endpoints(r)
-        opened_any = True
-        while opened_any:
-            opened_any = False
-            for pair in pairs:
-                extra = tuple(sorted(c for c in pair if c not in chosen_set))
-                if not extra or len(chosen) + len(extra) > k:
-                    continue
-                covered = sorted(
-                    i for i in range(n) if fully_active(i) and pair_costs[pair][i] <= r
-                )
-                if len(covered) >= thr and thr > 0:
-                    chosen.extend(extra)
-                    chosen_set.update(extra)
-                    for i in covered:
-                        ep_active[2 * i] = ep_active[2 * i + 1] = False
-                    events.append(TraceEvent(radius=r, opened=extra, agents=tuple(covered)))
-                    opened_any = True
-                    break
+        while (p := _first_fit(pair_costs, agent_eps.all(axis=1), r, thr,
+                               _eligible_pairs(pairs, is_chosen, k - len(chosen)))) is not None:
+            covered = agent_eps.all(axis=1) & (pair_costs[p] <= r)
+            agent_eps[covered] = False
+            extra = _open(pairs[p].tolist(), chosen, is_chosen)
+            events.append(TraceEvent(radius=r, opened=extra, agents=_ids(covered)))
+            costs = route_costs(instance, chosen)
         # Endpoints now covered by pair-opened stops must not pad the balls
         # of unrelated single candidates below.
         retire_endpoints(r)
-        opened_any = True
-        while opened_any:
-            opened_any = False
-            for c in range(m):
-                if c in chosen_set or len(chosen) + 1 > k:
-                    continue
-                ball = sorted(e for e in range(2 * n) if ep_active[e] and within_gc(d[e, c], r))
-                if len(ball) >= thr and thr > 0:
-                    chosen.append(c)
-                    chosen_set.add(c)
-                    for e in ball:
-                        ep_active[e] = False
-                    events.append(TraceEvent(radius=r, opened=(c,), endpoints=tuple(ball)))
-                    opened_any = True
-                    break
-        if not any(ep_active):
+        # r stays finite, so at lam = 0 a ball holds only endpoints on its stop.
+        while (c := _first_fit(dist, ep_active, lam * r, thr,
+                               ~is_chosen & (len(chosen) < k))) is not None:
+            ball = ep_active & (dist[c] <= lam * r)
+            ep_active[ball] = False
+            events.append(TraceEvent(radius=r, opened=_open((c,), chosen, is_chosen),
+                                     endpoints=_ids(ball)))
+            costs = route_costs(instance, chosen)
+        if not ep_active.any():
             break
-        costs = route_costs(instance, chosen)
-        triggers: list[float] = []
-        for i in range(n):
-            if fully_active(i) and math.isfinite(costs[i]):
-                triggers.append(float(costs[i]))
+        full = agent_eps.all(axis=1)
+        eligible = _eligible_pairs(pairs, is_chosen, k - len(chosen))
+        triggers = _least_finite(costs[full])
+        triggers += _least_finite(_kth_costs(pair_costs[eligible], full, thr))
         if lam > 0.0:
-            for e in range(2 * n):
-                if ep_active[e]:
-                    de = dist_to_sel(e)
-                    if math.isfinite(de):
-                        triggers.append(_bump_until(de, lam))
-        live = [i for i in range(n) if fully_active(i)]
-        if len(live) >= thr > 0:
-            for pair in pairs:
-                extra = [c for c in pair if c not in chosen_set]
-                if not extra or len(chosen) + len(extra) > k:
-                    continue
-                tc = np.sort(pair_costs[pair][live])
-                t = float(tc[thr - 1])
-                if math.isfinite(t):
-                    triggers.append(t)
-        live_eps = [e for e in range(2 * n) if ep_active[e]]
-        if lam > 0.0 and len(live_eps) >= thr > 0:
-            for c in range(m):
-                if c in chosen_set or len(chosen) + 1 > k:
-                    continue
-                col = np.sort(d[live_eps, c])
-                q = float(col[thr - 1])
-                if math.isfinite(q):
-                    triggers.append(_bump_until(q, lam))
+            near = dist[chosen][:, ep_active]
+            free = dist[~is_chosen & (len(chosen) < k)]
+            for t in _least_finite(near) + _least_finite(_kth_costs(free, ep_active, thr)):
+                triggers.append(_bump_until(t, lam))
         if not triggers:
-            remaining = tuple(e for e in range(2 * n) if ep_active[e])
-            events.append(TraceEvent(radius=INF, endpoints=remaining))
+            events.append(TraceEvent(radius=INF, endpoints=_ids(ep_active)))
             break
         # A retirement trigger can sit at or below r after openings; revisit.
         r = max(r, min(triggers))

@@ -147,9 +147,11 @@ def improving_pairs(instance: Instance, agent_index: int, solution, beta: float 
     if beta < 1:
         raise ValueError(f"beta must be >= 1, got {beta}")
     cy = agent_cost(instance, agent_index, solution)
+    pairs = list(itertools.combinations(range(instance.m), 2))
+    # One (pairs, agents) table instead of one full cost vector per pair.
+    table = solution_costs(instance, np.array(pairs, dtype=int).reshape(-1, 2))
     out: list[tuple[int, int]] = []
-    for pair in itertools.combinations(range(instance.m), 2):
-        ct = agent_cost(instance, agent_index, pair)
+    for pair, ct in zip(pairs, table[:, agent_index].tolist()):
         if ct == 0.0:
             if cy > TOL:
                 out.append(pair)
@@ -395,10 +397,13 @@ def _core_ratio_milp(instance, solution, alpha: Fraction) -> FairnessReport:
             if r > 1.0:
                 candidates.add(float(r))
     ladder = sorted(candidates)
-    factor = 1.0
-    witness = None
     # Violations exist on a prefix of the ascending ladder; find its last rung.
-    lo, hi = 0, len(ladder) - 1
+    # The lowest rung goes first, so a fair placement costs one solve.
+    witness = _core_violation_milp(instance, solution, alpha, ladder[0]) if ladder else None
+    if witness is None:
+        return FairnessReport("CORE", alpha, 1.0, None)
+    factor = ladder[0]
+    lo, hi = 1, len(ladder) - 1
     while lo <= hi:
         mid = (lo + hi) // 2
         w = _core_violation_milp(instance, solution, alpha, ladder[mid])

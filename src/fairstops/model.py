@@ -310,55 +310,42 @@ def agent_cost(instance: Instance, agent_index: int, solution) -> float:
     n = instance.n
     if not 0 <= agent_index < n:
         raise IndexError(f"agent index {agent_index} out of range for n={n}")
-    stops = as_stops(solution)
-    walk = float(instance._d_ab[agent_index])
-    if not stops:
-        return walk
-    da = instance._d_ac[agent_index, list(stops)]
-    db = instance._d_bc[agent_index, list(stops)]
-    if instance.null_transit:
-        best = float(da.min() + db.min())
-    else:
-        ride = instance.transit.dist[np.ix_(stops, stops)]
-        best = float((da[:, None] + ride + db[None, :]).min())
-    return min(walk, best)
+    return float(solution_costs(instance, solution)[agent_index])
 
 
 def solution_costs(instance: Instance, solution) -> np.ndarray:
-    """Vector of :func:`agent_cost` over all agents (vectorized)."""
-    stops = as_stops(solution)
-    walk = np.asarray(instance._d_ab, dtype=float)
-    if not stops:
-        return walk.copy()
-    idx = list(stops)
-    da = instance._d_ac[:, idx]
-    db = instance._d_bc[:, idx]
-    if instance.null_transit:
-        best = da.min(axis=1) + db.min(axis=1)
-    else:
-        ride = instance.transit.dist[np.ix_(stops, stops)]
-        best = (da[:, :, None] + ride[None, :, :] + db[:, None, :]).min(axis=(1, 2))
-    return np.minimum(walk, best)
+    """Vector of :func:`agent_cost` over all agents: :func:`route_costs` capped
+    by the direct walk.  Takes the same placements or unit arrays."""
+    return np.minimum(instance._d_ab, route_costs(instance, solution))
 
 
 def route_costs(instance: Instance, solution) -> np.ndarray:
     """Per-agent cost of the best stop route only, ignoring the direct walk.
 
-    Infinite for every agent when the placement is empty.  This is the
-    service level a placement itself provides; :func:`solution_costs` caps it
-    by the walk.
+    ``solution`` is one placement, giving one cost per agent, or a 2-D
+    integer array of units (one equal-size stop set per row), giving a
+    ``(units, agents)`` table whose rows equal the per-placement vectors
+    bit for bit.  Infinite for every agent when the placement is empty.
+    This is the service level a placement itself provides;
+    :func:`solution_costs` caps it by the walk.
     """
-    stops = as_stops(solution)
-    n = instance.n
-    if not stops:
-        return np.full(n, INF)
-    idx = list(stops)
+    if isinstance(solution, np.ndarray) and solution.ndim == 2:
+        idx = solution
+    else:
+        stops = as_stops(solution)
+        if not stops:
+            return np.full(instance.n, INF)
+        idx = np.array(stops)
+    # Shapes below are (agents, [units,] stops[, stops]); the sum keeps the
+    # order (walk in + ride) + walk out of every route.
     da = instance._d_ac[:, idx]
     db = instance._d_bc[:, idx]
     if instance.null_transit:
-        return da.min(axis=1) + db.min(axis=1)
-    ride = instance.transit.dist[np.ix_(stops, stops)]
-    return (da[:, :, None] + ride[None, :, :] + db[:, None, :]).min(axis=(1, 2))
+        best = da.min(axis=-1) + db.min(axis=-1)
+    else:
+        ride = instance.transit.dist[idx[..., :, None], idx[..., None, :]]
+        best = (da[..., :, None] + ride + db[..., None, :]).min(axis=(-2, -1))
+    return np.ascontiguousarray(best.T)
 
 
 def total_cost(instance: Instance, solution) -> float:

@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fairstops as fs
-from oracles import brute_jr_factor
+from oracles import brute_jr_factor, eca_loop, gc_trsp_radius_pass, hybrid_loop
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
@@ -56,8 +58,10 @@ def test_gc_opens_at_radius_zero_on_coincident_endpoints():
 
 
 def test_gc_matches_clustering_twin_event_for_event(corpus):
+    # The radius pass over every endpoint-to-stop distance is the independent
+    # form of greedy capture that gc_trsp used to run.
     for inst in corpus[:40]:
-        sol, trace = fs.gc_trsp(inst)
+        sol, trace = gc_trsp_radius_pass(inst)
         picked, twin_trace = fs.greedy_capture(fs.induce_clustering(inst))
         assert tuple(sorted(picked)) == sol.stops
         assert twin_trace.events == trace.events
@@ -71,7 +75,7 @@ def test_gc_matches_twin_on_families():
         ("motivating", {}),
     ):
         inst = fs.generate(name, **params)
-        sol, trace = fs.gc_trsp(inst)
+        sol, trace = gc_trsp_radius_pass(inst)
         picked, twin_trace = fs.greedy_capture(fs.induce_clustering(inst))
         assert tuple(sorted(picked)) == sol.stops
         assert twin_trace.events == trace.events
@@ -255,6 +259,89 @@ def test_hybrid_factor_identities():
     assert fs.hybrid_core_beta(1.0) == pytest.approx(1 + SQRT2, abs=1e-12)
     with pytest.raises(ValueError):
         fs.hybrid_core_beta(0.0)
+
+
+# ---------------------------------------------------------------------------
+# Array sweeps against their loop forms
+# ---------------------------------------------------------------------------
+
+SWEEP_LAMBDAS = (0.0, 0.25, 0.5, 1.0)
+
+
+def sweep_runs(inst):
+    """(label, library run, loop-oracle run) of every sweep on one instance."""
+    yield "gc_trsp", fs.gc_trsp(inst), gc_trsp_radius_pass(inst)
+    yield "eca", fs.eca(inst), eca_loop(inst)
+    for lam in SWEEP_LAMBDAS:
+        yield f"hybrid({lam})", fs.hybrid(inst, lam), hybrid_loop(inst, lam)
+
+
+def assert_sweeps_match_loops(inst, where):
+    for label, (sol, trace), (ref_sol, ref_trace) in sweep_runs(inst):
+        assert sol == ref_sol, (where, label)
+        assert trace.events == ref_trace.events, (where, label)
+        # Equal events can still differ in repr, so radii must be Python floats.
+        assert all(type(ev.radius) is float for ev in trace.events), (where, label)
+
+
+def family_instances():
+    """Every named family at default parameters, clustering families embedded,
+    plus the tight families at the parameters the acceptance tests use."""
+    out = []
+    for name in sorted(fs.FAMILIES):
+        inst = fs.generate(name)
+        if isinstance(inst, fs.LineClusteringInstance):
+            inst = fs.clustering_to_trsp(fs.line_to_clustering(inst))
+        out.append((name, inst))
+    for lam in (0.25, 0.5, 1.0):
+        for name in ("hybrid-jr-tight", "hybrid-core-tight"):
+            out.append((f"{name} lam={lam}", fs.generate(name, lam=lam, eps=0.01)))
+    return out
+
+
+@pytest.mark.parametrize("fixture", ["corpus", "corpus_random_transit"])
+def test_sweeps_match_loop_oracles_on_corpus(fixture, request):
+    for seed, inst in enumerate(request.getfixturevalue(fixture)):
+        assert_sweeps_match_loops(inst, seed)
+
+
+def test_sweeps_match_loop_oracles_on_families():
+    for name, inst in family_instances():
+        assert_sweeps_match_loops(inst, name)
+
+
+@st.composite
+def grid_instances(draw):
+    """Small instances on a 4 x 4 integer grid under L1 walking distances, so
+    that distances, route costs and order statistics tie often."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(2, 7))
+    k = draw(st.integers(1, m))
+    cells = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    xy = np.array(draw(st.lists(cells, min_size=2 * n + m, max_size=2 * n + m)), dtype=float)
+    walk = np.abs(xy[:, None, :] - xy[None, :, :]).sum(axis=2)
+    if draw(st.booleans()):
+        transit = np.zeros((m, m))
+    else:
+        # Random integer ride lengths, closed under shortest paths into a metric.
+        upper = np.array(draw(st.lists(st.integers(0, 4), min_size=m * m, max_size=m * m)),
+                         dtype=float).reshape(m, m)
+        transit = np.triu(upper, 1) + np.triu(upper, 1).T
+        for mid in range(m):
+            transit = np.minimum(transit, transit[:, [mid]] + transit[[mid], :])
+    return fs.Instance(
+        endpoints=np.arange(2 * n).reshape(n, 2),
+        candidates=np.arange(2 * n, 2 * n + m),
+        walk=fs.Metric(walk),
+        transit=fs.Metric(transit),
+        k=k,
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(grid_instances())
+def test_sweeps_match_loop_oracles_under_ties(inst):
+    assert_sweeps_match_loops(inst, "grid")
 
 
 # ---------------------------------------------------------------------------

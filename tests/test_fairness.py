@@ -199,6 +199,26 @@ def test_core_milp_backend_matches_pinned_cases(table4, kz3):
     assert math.isinf(report.factor)
 
 
+def test_core_milp_ratio_settles_fair_placement_in_one_solve(monkeypatch, table5):
+    real_milp = fs.fairness.milp
+    solves = []
+
+    def counting_milp(*args, **kwargs):
+        solves.append(1)
+        return real_milp(*args, **kwargs)
+
+    monkeypatch.setattr(fs.fairness, "milp", counting_milp)
+    inst = fs.generate("jr-lower")
+    report = fs.core_ratio(inst, (0, 1, 5), 2, backend="milp")
+    assert report.factor == 1.0 and report.witness is None
+    assert len(solves) == 1
+    # Unfair placements still get the tight factor of the enumeration.
+    for inst, sol in ((inst, (0, 1, 5)), (inst, (0, 3)), table5):
+        report = fs.core_ratio(inst, sol, 1, backend="milp")
+        assert report.factor > 1.0
+        assert report.factor == fs.core_ratio(inst, sol, 1).factor
+
+
 # ---------------------------------------------------------------------------
 # Proportional fairness
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Cost model, metric validation, and the two clustering reductions."""
 
+import itertools
 import math
 
 import numpy as np
@@ -169,6 +170,21 @@ def test_route_costs_cap_relationship(corpus):
         walk = fs.solution_costs(inst, ())
         assert np.allclose(np.minimum(route, walk), capped)
     assert np.all(np.isinf(fs.route_costs(corpus[0], ())))
+
+
+def test_unit_tables_equal_per_placement_vectors(corpus, corpus_random_transit):
+    # The sweeps read pair costs from one table; each row must be the
+    # per-placement vector bit for bit, so traces cannot drift.
+    for inst in corpus[:10] + corpus_random_transit[:10]:
+        for size in (2, 3):
+            units = np.array(list(itertools.combinations(range(inst.m), size)), dtype=int)
+            units = units.reshape(-1, size)
+            route = fs.route_costs(inst, units)
+            capped = fs.solution_costs(inst, units)
+            assert route.shape == capped.shape == (len(units), inst.n)
+            for unit, row, capped_row in zip(units, route, capped):
+                assert row.tobytes() == fs.route_costs(inst, tuple(unit)).tobytes()
+                assert capped_row.tobytes() == fs.solution_costs(inst, tuple(unit)).tobytes()
 
 
 # ---------------------------------------------------------------------------
