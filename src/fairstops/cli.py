@@ -163,15 +163,17 @@ def _cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_solution(text: str, m: int) -> tuple[int, ...]:
+def _parse_solution(text: str, instance: Instance) -> tuple[int, ...]:
     if not text.strip():
         return ()
     try:
         stops = tuple(sorted({int(tok) for tok in text.split(",")}))
     except ValueError:
         raise _CliError(f"solution must be comma-separated indices, got {text!r}")
-    if stops and (stops[0] < 0 or stops[-1] >= m):
-        raise _CliError(f"solution index out of range [0, {m})")
+    if stops and (stops[0] < 0 or stops[-1] >= instance.m):
+        raise _CliError(f"solution index out of range [0, {instance.m})")
+    if len(stops) > instance.k:
+        raise _CliError(f"--solution has {len(stops)} stops, over the budget k={instance.k}")
     return stops
 
 
@@ -197,10 +199,10 @@ def _print_witness(instance: Instance, witness) -> None:
 
 def _cmd_verify(args) -> int:
     instance = _load_instance(args.instance)
-    stops = _parse_solution(args.solution, instance.m)
+    stops = _parse_solution(args.solution, instance)
     beta = args.beta if args.beta is not None else 1.0
-    if beta < 1:
-        raise _CliError(f"beta must be >= 1, got {beta}")
+    if not beta >= 1:
+        raise _CliError(f"--beta must be >= 1, got {beta}")
     try:
         if args.prop == "jr":
             report = jr_ratio(instance, stops)
@@ -315,7 +317,10 @@ def _cmd_experiment(args) -> int:
     if args.rounds < 1:
         raise _CliError("rounds must be >= 1")
     mode, factor, scale_label = _parse_transit(args.transit)
-    ks = [int(tok) for tok in str(args.k).split(",") if tok.strip()]
+    try:
+        ks = [int(tok) for tok in str(args.k).split(",") if tok.strip()]
+    except ValueError:
+        raise _CliError(f"--k must be comma-separated integers, got {args.k!r}")
     if args.instance:
         source = "file"
     elif args.family:
@@ -324,6 +329,9 @@ def _cmd_experiment(args) -> int:
         source = "random"
         if not ks:
             raise _CliError("random experiments need --k")
+        for flag, value in (("--n", args.n), ("--m", args.m), ("--k", min(ks))):
+            if value < 1:
+                raise _CliError(f"{flag} must be >= 1, got {value}")
 
     rows = []
     for round_idx in range(args.rounds):

@@ -12,19 +12,26 @@ alternative stop set?
 * proportional fairness ("PF") on clustering instances: groups of at least
   ``ceil(n'/k')`` datapoints deviating to a single center.
 
+All of them run one blocking search (:func:`_search`) over deviation
+targets taken in blocks: stop sets of one size, in size order and then
+lexicographic order, each block with its ``(targets, agents)`` cost table.
 Tight factors are computed exactly by order statistics over the finitely
 many cost ratios rather than by bisection: for each deviation target the
-factor it can block is the threshold-count-th largest ratio
-``cost_under_solution / cost_under_target``, and the report's factor is the
-maximum over targets.  Ratio conventions: ``0/0 -> 1``, ``x/0 -> inf`` for
-``x > 0``, ``x/inf -> 0``, ``inf/inf -> 1``.
+factor it can block is the ``need``-th largest ratio
+``cost_under_solution / cost_under_target``, ``need`` being the coalition
+size the target's size demands, and the report's factor is the maximum over
+targets.  Ratio conventions: ``0/0 -> 1``, ``x/0 -> inf`` for ``x > 0``,
+``x/inf -> 0``, ``inf/inf -> 1``.
 
-Boundary convention: a witness coalition collects every agent who genuinely
-improves (``c_i(T) < c_i(Y) - TOL``) and whose improvement factor reaches
-``beta`` up to tolerance (``beta * c_i(T) <= c_i(Y) + TOL``).  A deviation
-whose ratios equal ``beta`` exactly therefore *does* witness a violation at
-``beta``; constructions are routinely tight at their stated factor and would
-otherwise slip through on float noise.
+Boundary convention: an agent reaches ``beta`` on a target when it strictly
+improves there (its ratio ``r`` exceeds 1) and ``r >= beta * (1 - RTOL)``.
+The rule compares ratios only, so it reads the same at every distance scale,
+and a witness coalition is every agent that reaches the witness's factor (or
+the ``beta`` asked for).  A deviation whose ratios equal ``beta`` exactly
+therefore *does* witness a violation at ``beta``; constructions are
+routinely tight at their stated factor and would otherwise slip through on
+float noise.  A violation at ``beta`` exists exactly when the tight factor
+exceeds 1 and reaches ``beta`` under the same rule.
 
 The core checker has two interchangeable backends: exhaustive enumeration of
 deviation targets (the reference) and a 0/1 integer program solved by
@@ -34,7 +41,6 @@ branch-and-bound, cross-checked against each other in the tests.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,10 +51,8 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from .algorithms import EnumerationGuardError, coverage_threshold
 from .model import (
     INF,
-    TOL,
     ClusteringInstance,
     Instance,
-    agent_cost,
     as_stops,
     solution_costs,
 )
@@ -58,6 +62,12 @@ CORE_GUARD_M = 24
 
 #: Environment variable overriding :data:`CORE_GUARD_M`.
 CORE_GUARD_ENV = "FAIRSTOPS_CORE_GUARD_M"
+
+#: Relative slack of the boundary rule: ratios this close below ``beta`` reach it.
+RTOL = 1e-12
+
+#: Floats one block of targets may take in its cost kernel (8 MB).
+BLOCK_FLOATS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -80,45 +90,90 @@ class FairnessReport:
 
 
 # ---------------------------------------------------------------------------
-# Shared ratio machinery
+# The blocking search
 # ---------------------------------------------------------------------------
 
 
 def _ratios(cy: np.ndarray, ct: np.ndarray) -> np.ndarray:
-    """Improvement ratios cy/ct under the extended-real conventions above."""
-    cy = np.asarray(cy, dtype=float)
-    ct = np.asarray(ct, dtype=float)
-    out = np.empty_like(cy)
+    """Improvement ratios cy/ct under the extended-real conventions above;
+    ``cy`` broadcasts against a ``(targets, agents)`` table ``ct``."""
+    cy, ct = np.broadcast_arrays(np.asarray(cy, dtype=float), np.asarray(ct, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(cy, ct, out=out)
-    zero = ct == 0.0
-    out[zero] = np.where(cy[zero] == 0.0, 1.0, INF)
-    tinf = np.isinf(ct) & ~zero
-    out[tinf] = np.where(np.isinf(cy[tinf]), 1.0, 0.0)
-    return out
+        out = cy / ct
+    out = np.where(ct == 0.0, np.where(cy == 0.0, 1.0, INF), out)
+    return np.where(np.isinf(ct), np.where(np.isinf(cy), 1.0, 0.0), out)
 
 
-def _kth_largest(values: np.ndarray, t: int) -> float:
-    return float(np.partition(values, len(values) - t)[len(values) - t])
+def _reaches(r, beta: float):
+    """The boundary rule: the ratio is a strict gain that reaches ``beta``."""
+    return (r > 1.0) & (r >= beta * (1.0 - RTOL))
 
 
-def _improvers(cy: np.ndarray, ct: np.ndarray, beta: float) -> list[int]:
-    """Agents who strictly improve and whose improvement factor reaches beta."""
-    out = []
-    for i in range(len(cy)):
-        y, t = float(cy[i]), float(ct[i])
-        if not t < y - TOL:
+def _check_factor(value: float, name: str) -> float:
+    if not value >= 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
+
+
+def _targets(instance: Instance, needs: dict[int, int]):
+    """Blocks ``(targets, costs, need)`` of every stop set whose size is a key
+    of ``needs``, in the dict's order of sizes and then lexicographic order:
+    a ``(targets, size)`` index array and its ``(targets, agents)`` cost table.  Sizes
+    whose ``need`` is not in ``[1, n]`` admit no coalition and are skipped."""
+    n = instance.n
+    for size, need in needs.items():
+        if not 0 < need <= n:
             continue
-        if t == 0.0 or beta * t <= y + TOL:
-            out.append(i)
-    return out
+        # The kernel's intermediate is (agents, targets, size, size) floats.
+        per_block = max(1, BLOCK_FLOATS // (n * size * size))
+        combos = itertools.combinations(range(instance.m), size)
+        while chunk := list(itertools.islice(combos, per_block)):
+            targets = np.array(chunk, dtype=int)
+            yield targets, solution_costs(instance, targets), need
 
 
-def _block_factor(cy: np.ndarray, ct: np.ndarray, count: int) -> float:
-    """Largest beta this deviation can block: the count-th largest ratio."""
-    if count <= 0 or count > len(cy):
-        return 1.0
-    return _kth_largest(_ratios(cy, ct), count)
+def _search(cy: np.ndarray, blocks, beta: float | None = None) -> Witness | None:
+    """The first target, in block order, that blocks the costs ``cy``.
+
+    Without ``beta`` this is the first target attaining the tight factor
+    (the largest ``need``-th largest ratio, if above 1); with one, the first
+    target on which at least ``need`` agents reach ``beta``.  The witness
+    coalition is every agent reaching that factor, or ``beta``.
+    """
+    found = None
+    for targets, costs, need in blocks:
+        ratios = _ratios(cy, costs)
+        kth = np.partition(ratios, -need, axis=1)[:, -need]
+        if beta is None:
+            j = int(np.argmax(kth))
+            if kth[j] > (found[2] if found else 1.0):
+                found = targets[j], ratios[j], float(kth[j])
+            continue
+        hit = np.flatnonzero(_reaches(kth, beta))
+        if hit.size:
+            j = hit[0]
+            found = targets[j], ratios[j], float(kth[j])
+            break
+    if found is None:
+        return None
+    target, r, factor = found
+    coalition = np.flatnonzero(_reaches(r, factor if beta is None else beta))
+    return Witness(tuple(coalition.tolist()), tuple(target.tolist()), factor)
+
+
+def _report(prop: str, alpha: Fraction | None, witness: Witness | None) -> FairnessReport:
+    return FairnessReport(prop, alpha, witness.factor if witness else 1.0, witness)
+
+
+def _pair_ratios(instance: Instance, cy: np.ndarray):
+    """Every stop pair in lexicographic order, and its ``(pairs, agents)`` ratios."""
+    blocks = list(_targets(instance, {2: 1}))
+    if not blocks:
+        return np.empty((0, 2), dtype=int), np.empty((0, instance.n))
+    return (
+        np.concatenate([targets for targets, _, _ in blocks]),
+        np.concatenate([_ratios(cy, costs) for _, costs, _ in blocks]),
+    )
 
 
 def _core_guard_limit() -> int:
@@ -139,48 +194,33 @@ def _as_alpha(alpha) -> Fraction:
 
 
 def improving_pairs(instance: Instance, agent_index: int, solution, beta: float = 1.0):
-    """All stop pairs to which this agent deviates with a factor-beta gain.
+    """All stop pairs on which this agent reaches a factor-``beta`` gain.
 
-    Returns the unordered pairs ``(c1, c2)``, ``c1 < c2``, with
-    ``beta * c_i(pair) < c_i(solution) - TOL``.
+    Returns the unordered pairs ``(c1, c2)``, ``c1 < c2``, in lexicographic
+    order, under the module's boundary rule.
     """
-    if beta < 1:
-        raise ValueError(f"beta must be >= 1, got {beta}")
-    cy = agent_cost(instance, agent_index, solution)
-    pairs = list(itertools.combinations(range(instance.m), 2))
-    # One (pairs, agents) table instead of one full cost vector per pair.
-    table = solution_costs(instance, np.array(pairs, dtype=int).reshape(-1, 2))
-    out: list[tuple[int, int]] = []
-    for pair, ct in zip(pairs, table[:, agent_index].tolist()):
-        if ct == 0.0:
-            if cy > TOL:
-                out.append(pair)
-        elif math.isfinite(ct) and beta * ct < cy - TOL:
-            out.append(pair)
-    return out
+    _check_factor(beta, "beta")
+    if not 0 <= agent_index < instance.n:
+        raise IndexError(f"agent index {agent_index} out of range for n={instance.n}")
+    cy = solution_costs(instance, as_stops(solution))
+    pairs, ratios = _pair_ratios(instance, cy)
+    return [tuple(pair) for pair in pairs[_reaches(ratios[:, agent_index], beta)].tolist()]
+
+
+def _jr(instance: Instance, solution, beta: float | None) -> Witness | None:
+    cy = solution_costs(instance, as_stops(solution))
+    needs = {2: coverage_threshold(instance.n, instance.k)}
+    return _search(cy, _targets(instance, needs), beta)
 
 
 def jr_violation(instance: Instance, solution, beta: float = 1.0) -> Witness | None:
     """First stop pair (in lexicographic order) blocking the solution at ``beta``.
 
-    A pair ``T`` blocks when at least ``ceil(2n/k)`` agents all improve on it
-    by more than factor ``beta``.  Returns ``None`` when the solution provides
+    A pair ``T`` blocks when at least ``ceil(2n/k)`` agents all reach a
+    factor-``beta`` gain on it.  Returns ``None`` when the solution provides
     ``beta``-approximate pair representation.
     """
-    if beta < 1:
-        raise ValueError(f"beta must be >= 1, got {beta}")
-    stops = as_stops(solution)
-    n, k = instance.n, instance.k
-    thr = coverage_threshold(n, k)
-    if n == 0 or thr == 0:
-        return None
-    cy = solution_costs(instance, stops)
-    for pair in itertools.combinations(range(instance.m), 2):
-        ct = solution_costs(instance, pair)
-        coalition = _improvers(cy, ct, beta)
-        if len(coalition) >= thr:
-            return Witness(tuple(coalition), pair, _block_factor(cy, ct, thr))
-    return None
+    return _jr(instance, solution, _check_factor(beta, "beta"))
 
 
 def jr_ratio(instance: Instance, solution) -> FairnessReport:
@@ -188,26 +228,10 @@ def jr_ratio(instance: Instance, solution) -> FairnessReport:
 
     For every pair ``T`` the blockable factor is the ``ceil(2n/k)``-th largest
     ratio ``c_i(Y)/c_i(T)``; the report's factor is the maximum over pairs
-    (at least 1).  The solution satisfies ``beta``-approximate pair
-    representation if and only if ``beta >= factor``.
+    (at least 1).  :func:`jr_violation` finds a witness at ``beta`` exactly
+    when the factor exceeds 1 and ``factor >= beta * (1 - RTOL)``.
     """
-    stops = as_stops(solution)
-    n, k = instance.n, instance.k
-    thr = coverage_threshold(n, k)
-    cy = solution_costs(instance, stops)
-    factor = 1.0
-    best: tuple[tuple[int, int], np.ndarray] | None = None
-    for pair in itertools.combinations(range(instance.m), 2):
-        ct = solution_costs(instance, pair)
-        bt = _block_factor(cy, ct, thr) if n else 1.0
-        if bt > factor:
-            factor = bt
-            best = (pair, ct)
-    witness = None
-    if best is not None:
-        pair, ct = best
-        witness = Witness(tuple(_improvers(cy, ct, factor)), pair, factor)
-    return FairnessReport("JR", None, factor, witness)
+    return _report("JR", None, _jr(instance, solution, None))
 
 
 # ---------------------------------------------------------------------------
@@ -226,40 +250,12 @@ def core_violation(
 
     A coalition ``S`` blocks with ``T`` when ``|S| * k >= alpha * |T| * n``
     (checked by exact integer cross-multiplication with rational ``alpha``)
-    and every member improves on ``T`` by more than factor ``beta``.  Only
+    and every member reaches a factor-``beta`` gain on ``T``.  Only
     ``|T| <= floor(k/alpha)`` can ever satisfy the size requirement, so the
     enumeration stops there.  The ``"milp"`` backend solves an equivalent 0/1
     integer program instead of enumerating.
     """
-    alpha = _as_alpha(alpha)
-    if beta < 1:
-        raise ValueError(f"beta must be >= 1, got {beta}")
-    if backend == "milp":
-        return _core_violation_milp(instance, solution, alpha, beta)
-    if backend != "enumerate":
-        raise ValueError(f"unknown backend {backend!r}")
-    stops = as_stops(solution)
-    n, m, k = instance.n, instance.m, instance.k
-    if m > _core_guard_limit():
-        raise EnumerationGuardError(
-            f"core enumeration over m={m} candidates exceeds the guard "
-            f"({_core_guard_limit()}); set {CORE_GUARD_ENV} to raise it"
-        )
-    if n == 0:
-        return None
-    p, q = alpha.numerator, alpha.denominator
-    cy = solution_costs(instance, stops)
-    max_size = min(m, (k * q) // p)
-    for size in range(1, max_size + 1):
-        need = -(-p * size * n // (k * q))
-        if need > n:
-            continue
-        for target in itertools.combinations(range(m), size):
-            ct = solution_costs(instance, target)
-            coalition = _improvers(cy, ct, beta)
-            if coalition and len(coalition) * k * q >= p * size * n:
-                return Witness(tuple(coalition), target, _block_factor(cy, ct, need))
-    return None
+    return _core(instance, solution, alpha, _check_factor(beta, "beta"), backend)
 
 
 def core_ratio(
@@ -273,38 +269,28 @@ def core_ratio(
     maximum over targets.  Reported as ``inf`` when some target serves a
     blocking coalition at zero cost while the solution does not.
     """
+    return _core(instance, solution, alpha, None, backend)
+
+
+def _core(instance: Instance, solution, alpha, beta: float | None, backend: str):
+    """:func:`core_violation` at ``beta``, or :func:`core_ratio`'s report
+    when ``beta`` is ``None``."""
     alpha = _as_alpha(alpha)
-    if backend == "milp":
-        return _core_ratio_milp(instance, solution, alpha)
-    if backend != "enumerate":
+    if backend not in ("enumerate", "milp"):
         raise ValueError(f"unknown backend {backend!r}")
-    stops = as_stops(solution)
     n, m, k = instance.n, instance.m, instance.k
-    if m > _core_guard_limit():
+    if backend == "enumerate" and m > _core_guard_limit():
         raise EnumerationGuardError(
             f"core enumeration over m={m} candidates exceeds the guard "
             f"({_core_guard_limit()}); set {CORE_GUARD_ENV} to raise it"
         )
+    cy = solution_costs(instance, as_stops(solution))
+    if backend == "milp":
+        return _core_milp(instance, cy, alpha, beta)
     p, q = alpha.numerator, alpha.denominator
-    cy = solution_costs(instance, stops)
-    factor = 1.0
-    best: tuple[tuple[int, ...], np.ndarray] | None = None
-    max_size = min(m, (k * q) // p) if n else 0
-    for size in range(1, max_size + 1):
-        need = -(-p * size * n // (k * q))
-        if need > n:
-            continue
-        for target in itertools.combinations(range(m), size):
-            ct = solution_costs(instance, target)
-            bt = _block_factor(cy, ct, need)
-            if bt > factor:
-                factor = bt
-                best = (target, ct)
-    witness = None
-    if best is not None:
-        target, ct = best
-        witness = Witness(tuple(_improvers(cy, ct, factor)), target, factor)
-    return FairnessReport("CORE", alpha, factor, witness)
+    needs = {size: -(-p * size * n // (k * q)) for size in range(1, min(m, k * q // p) + 1)}
+    witness = _search(cy, _targets(instance, needs), beta)
+    return witness if beta is not None else _report("CORE", alpha, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -312,30 +298,21 @@ def core_ratio(
 # ---------------------------------------------------------------------------
 
 
-def _beta_improving_pairs(instance, stops, beta, cy):
-    """Per-agent lists of improving pair ids under the witness boundary rule."""
-    pairs = list(itertools.combinations(range(instance.m), 2))
-    per_agent: list[list[int]] = [[] for _ in range(instance.n)]
-    for pid, pair in enumerate(pairs):
-        ct = solution_costs(instance, pair)
-        for i in _improvers(cy, ct, beta):
-            per_agent[i].append(pid)
-    return pairs, per_agent
-
-
-def _core_violation_milp(instance, solution, alpha: Fraction, beta: float) -> Witness | None:
+def _core_violation_milp(
+    instance, cy, alpha: Fraction, pairs: np.ndarray, reach: np.ndarray
+) -> Witness | None:
     """Blocking-coalition search as a 0/1 program: maximize the coalition size
     subject to every member holding an improving pair inside the chosen stop
-    set and the coalition outweighing ``alpha * |T| * n / k``.  A positive
-    optimum is exactly a core violation."""
-    stops = as_stops(solution)
+    set and the coalition outweighing ``alpha * |T| * n / k``.  ``reach`` is
+    the ``(pairs, agents)`` mask of the boundary rule at the ``beta`` tested.
+    A positive optimum is exactly a core violation."""
     n, m, k = instance.n, instance.m, instance.k
-    if n == 0:
-        return None
     p, q = alpha.numerator, alpha.denominator
-    cy = solution_costs(instance, stops)
-    pairs, per_agent = _beta_improving_pairs(instance, stops, beta, cy)
-    used_pairs = sorted({pid for lst in per_agent for pid in lst})
+    # Single-stop targets are left out: walking is a metric (validate_instance
+    # checks its triangle inequality), so a route boarding and alighting at
+    # one stop never beats the direct walk, and no agent improves on one stop.
+    per_agent = [np.flatnonzero(reach[:, i]).tolist() for i in range(n)]
+    used_pairs = np.flatnonzero(reach.any(axis=1)).tolist()
     if not used_pairs:
         return None
     pair_col = {pid: m + n + j for j, pid in enumerate(used_pairs)}
@@ -379,34 +356,34 @@ def _core_violation_milp(instance, solution, alpha: Fraction, beta: float) -> Wi
         return None
     x = res.x
     coalition = tuple(i for i in range(n) if x[i] > 0.5)
-    target = tuple(c for c in range(m) if x[n + c] > 0.5)
-    need = -(-p * len(target) * n // (k * q))
-    ct = solution_costs(instance, target)
-    return Witness(coalition, target, _block_factor(cy, ct, need))
+    target = np.array([[c for c in range(m) if x[n + c] > 0.5]])
+    need = -(-p * target.shape[1] * n // (k * q))
+    blocked = _search(cy, [(target, solution_costs(instance, target), need)])
+    return Witness(coalition, tuple(target[0].tolist()), blocked.factor)
 
 
-def _core_ratio_milp(instance, solution, alpha: Fraction) -> FairnessReport:
-    """Tight core factor via the integer program and a search over the finite
-    set of realizable cost ratios (every blockable factor is one of them)."""
-    stops = as_stops(solution)
-    cy = solution_costs(instance, stops)
-    candidates: set[float] = set()
-    for pair in itertools.combinations(range(instance.m), 2):
-        ct = solution_costs(instance, pair)
-        for r in _ratios(cy, ct):
-            if r > 1.0:
-                candidates.add(float(r))
-    ladder = sorted(candidates)
+def _core_milp(instance, cy, alpha: Fraction, beta: float | None):
+    """The integer program at ``beta``; without one, the tight core factor by
+    a search over the finite ladder of realizable pair ratios (every
+    blockable factor is one of them)."""
+    pairs, ratios = _pair_ratios(instance, cy)
+    if beta is not None:
+        return _core_violation_milp(instance, cy, alpha, pairs, _reaches(ratios, beta))
+
+    def probe(rung: float) -> Witness | None:
+        return _core_violation_milp(instance, cy, alpha, pairs, _reaches(ratios, rung))
+
+    ladder = np.unique(ratios[ratios > 1.0]).tolist()
     # Violations exist on a prefix of the ascending ladder; find its last rung.
     # The lowest rung goes first, so a fair placement costs one solve.
-    witness = _core_violation_milp(instance, solution, alpha, ladder[0]) if ladder else None
+    witness = probe(ladder[0]) if ladder else None
     if witness is None:
         return FairnessReport("CORE", alpha, 1.0, None)
     factor = ladder[0]
     lo, hi = 1, len(ladder) - 1
     while lo <= hi:
         mid = (lo + hi) // 2
-        w = _core_violation_milp(instance, solution, alpha, ladder[mid])
+        w = probe(ladder[mid])
         if w is not None:
             factor, witness = ladder[mid], w
             lo = mid + 1
@@ -420,49 +397,29 @@ def _core_ratio_milp(instance, solution, alpha: Fraction) -> FairnessReport:
 # ---------------------------------------------------------------------------
 
 
-def _pf_prepare(clustering: ClusteringInstance, centers):
+def _pf(clustering: ClusteringInstance, centers, rho: float | None) -> Witness | None:
     chosen = tuple(sorted(set(int(c) for c in centers)))
     if chosen and (chosen[0] < 0 or chosen[-1] >= clustering.m):
         raise ValueError("center index out of range")
     if len(chosen) > clustering.k:
         raise ValueError(f"{len(chosen)} centers exceed budget k={clustering.k}")
+    if clustering.n == 0 or clustering.m == 0:
+        return None
     d = clustering.point_center_dists()
     dP = d[:, chosen].min(axis=1) if chosen else np.full(clustering.n, INF)
-    return chosen, d, dP
+    thr = -(-clustering.n // clustering.k)
+    return _search(dP, [(np.arange(clustering.m)[:, None], d.T, thr)], rho)
 
 
 def pf_violation(clustering: ClusteringInstance, centers, rho: float = 1.0) -> Witness | None:
     """First center blocking proportional fairness at factor ``rho``.
 
-    Blocks when at least ``ceil(n'/k')`` datapoints would each get more than
+    Blocks when at least ``ceil(n'/k')`` datapoints would each get at least
     ``rho`` times closer to it than to their nearest selected center.
     """
-    if rho < 1:
-        raise ValueError(f"rho must be >= 1, got {rho}")
-    chosen, d, dP = _pf_prepare(clustering, centers)
-    thr = -(-clustering.n // clustering.k)
-    if clustering.n == 0:
-        return None
-    for c in range(clustering.m):
-        group = _improvers(dP, d[:, c], rho)
-        if len(group) >= thr:
-            return Witness(tuple(group), (c,), _block_factor(dP, d[:, c], thr))
-    return None
+    return _pf(clustering, centers, _check_factor(rho, "rho"))
 
 
 def pf_ratio(clustering: ClusteringInstance, centers) -> FairnessReport:
     """Tight proportional-fairness factor of a center selection."""
-    chosen, d, dP = _pf_prepare(clustering, centers)
-    thr = -(-clustering.n // clustering.k)
-    factor = 1.0
-    best: int | None = None
-    if clustering.n:
-        for c in range(clustering.m):
-            bt = _block_factor(dP, d[:, c], thr)
-            if bt > factor:
-                factor = bt
-                best = c
-    witness = None
-    if best is not None:
-        witness = Witness(tuple(_improvers(dP, d[:, best], factor)), (best,), factor)
-    return FairnessReport("PF", None, factor, witness)
+    return _report("PF", None, _pf(clustering, centers, None))

@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import fairstops as fs
+from conftest import grid_instances
 from oracles import brute_jr_factor, eca_loop, gc_trsp_radius_pass, hybrid_loop
 
 SQRT2 = math.sqrt(2.0)
@@ -308,34 +308,6 @@ def test_sweeps_match_loop_oracles_on_corpus(fixture, request):
 def test_sweeps_match_loop_oracles_on_families():
     for name, inst in family_instances():
         assert_sweeps_match_loops(inst, name)
-
-
-@st.composite
-def grid_instances(draw):
-    """Small instances on a 4 x 4 integer grid under L1 walking distances, so
-    that distances, route costs and order statistics tie often."""
-    n = draw(st.integers(1, 12))
-    m = draw(st.integers(2, 7))
-    k = draw(st.integers(1, m))
-    cells = st.tuples(st.integers(0, 3), st.integers(0, 3))
-    xy = np.array(draw(st.lists(cells, min_size=2 * n + m, max_size=2 * n + m)), dtype=float)
-    walk = np.abs(xy[:, None, :] - xy[None, :, :]).sum(axis=2)
-    if draw(st.booleans()):
-        transit = np.zeros((m, m))
-    else:
-        # Random integer ride lengths, closed under shortest paths into a metric.
-        upper = np.array(draw(st.lists(st.integers(0, 4), min_size=m * m, max_size=m * m)),
-                         dtype=float).reshape(m, m)
-        transit = np.triu(upper, 1) + np.triu(upper, 1).T
-        for mid in range(m):
-            transit = np.minimum(transit, transit[:, [mid]] + transit[[mid], :])
-    return fs.Instance(
-        endpoints=np.arange(2 * n).reshape(n, 2),
-        candidates=np.arange(2 * n, 2 * n + m),
-        walk=fs.Metric(walk),
-        transit=fs.Metric(transit),
-        k=k,
-    )
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

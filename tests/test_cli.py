@@ -201,6 +201,31 @@ def test_verify_pf(tmp_path, capsys):
     assert code == 1  # the whole second region prefers its own stops
 
 
+def test_verify_nan_beta_exits_2(tmp_path, capsys):
+    out = tmp_path / "t3.json"
+    run_cli(capsys, "gen", "--family", "table3", "--out", str(out))
+    for prop in ("jr", "core", "pf"):
+        code, stdout, err = run_cli(
+            capsys, "verify", "--instance", str(out), "--solution", "0,1", "--prop", prop,
+            "--beta", "nan",
+        )
+        assert code == 2 and stdout == ""
+        assert "--beta" in err
+
+
+def test_verify_solution_over_budget_exits_2(tmp_path, capsys):
+    out = tmp_path / "t3.json"
+    run_cli(capsys, "gen", "--family", "table3", "--out", str(out))
+    inst = fs.read_instance(out)
+    over = ",".join(str(c) for c in range(inst.k + 1))
+    for prop in ("jr", "core", "pf"):
+        code, stdout, err = run_cli(
+            capsys, "verify", "--instance", str(out), "--solution", over, "--prop", prop
+        )
+        assert code == 2 and stdout == ""
+        assert "--solution" in err
+
+
 # ---------------------------------------------------------------------------
 # experiment
 # ---------------------------------------------------------------------------
@@ -282,6 +307,10 @@ def test_experiment_bad_args_exit_2(tmp_path, capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "experiment", "--out", str(out), "--transit", "fancy")
     assert code == 2
+    code, _, err = run_cli(capsys, "experiment", "--out", str(out), "--k", "a,b")
+    assert code == 2 and "--k" in err
+    code, _, err = run_cli(capsys, "experiment", "--out", str(out), "--n", "-3")
+    assert code == 2 and "--n" in err
 
 
 def test_version(capsys):

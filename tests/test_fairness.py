@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fairstops as fs
+from conftest import grid_instances
 from oracles import brute_jr_factor, brute_pf_factor
 
 SQRT2 = math.sqrt(2.0)
@@ -313,3 +316,104 @@ def test_ratio_conventions():
     ct = np.array([0.0, 0.0, INF, INF, 2.0, 2.0])
     out = _ratios(cy, ct)
     assert out.tolist() == [1.0, INF, 0.0, 1.0, INF, 2.0]
+
+
+def test_verifiers_reject_nan_factor(table5):
+    inst, sol = table5
+    clustering = fs.induce_clustering(inst)
+    nan = float("nan")
+    for call in (
+        lambda: fs.jr_violation(inst, sol, nan),
+        lambda: fs.core_violation(inst, sol, 2, nan),
+        lambda: fs.core_violation(inst, sol, 2, nan, backend="milp"),
+        lambda: fs.pf_violation(clustering, sol.stops, nan),
+        lambda: fs.improving_pairs(inst, 0, sol, nan),
+    ):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            call()
+
+
+def scaled(inst, factor):
+    return fs.Instance(
+        endpoints=inst.endpoints,
+        candidates=inst.candidates,
+        walk=fs.Metric(inst.walk.dist * factor),
+        transit=fs.Metric(inst.transit.dist * factor),
+        k=inst.k,
+    )
+
+
+def verifier(name, inst, stops, alpha):
+    """``(report, violation at beta, costs under a stop set, threshold of a target)``."""
+    if name == "pf":
+        clustering = fs.induce_clustering(inst)
+        d = clustering.point_center_dists()
+        return (
+            fs.pf_ratio(clustering, stops),
+            lambda beta: fs.pf_violation(clustering, stops, beta),
+            lambda target: d[:, list(target)].min(axis=1) if target else np.full(len(d), INF),
+            lambda target: -(-clustering.n // clustering.k),
+        )
+    costs = lambda target: fs.solution_costs(inst, target)  # noqa: E731
+    if name == "jr":
+        thr = fs.algorithms.coverage_threshold(inst.n, inst.k)
+        return (
+            fs.jr_ratio(inst, stops),
+            lambda beta: fs.jr_violation(inst, stops, beta),
+            costs,
+            lambda target: thr,
+        )
+    backend = "milp" if name == "core-milp" else "enumerate"
+    return (
+        fs.core_ratio(inst, stops, alpha, backend=backend),
+        lambda beta: fs.core_violation(inst, stops, alpha, beta, backend=backend),
+        costs,
+        lambda target: math.ceil(Fraction(alpha) * len(target) * inst.n / inst.k),
+    )
+
+
+def assert_witness_blocks(witness, stops, costs, threshold):
+    assert witness is not None
+    assert len(witness.coalition) >= threshold(witness.deviation)
+    cy, ct = costs(stops), costs(witness.deviation)
+    assert all(ct[i] < cy[i] for i in witness.coalition)
+
+
+@st.composite
+def placements(draw):
+    inst = draw(grid_instances())
+    stops = tuple(sorted(draw(st.sets(st.integers(0, inst.m - 1), max_size=inst.k))))
+    return inst, stops, draw(st.sampled_from([1, Fraction(3, 2), 2]))
+
+
+@pytest.mark.parametrize("name", ["jr", "core", "core-milp", "pf"])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=placements())
+def test_factor_and_witness_agree_at_any_scale(name, case):
+    inst, stops, alpha = case
+    report, violation, costs, threshold = verifier(name, inst, stops, alpha)
+    factor = report.factor
+    if factor > 1.0:
+        assert_witness_blocks(report.witness, stops, costs, threshold)
+    else:
+        assert factor == 1.0 and report.witness is None
+    # A violation at beta exists exactly when the boundary rule admits the factor.
+    rtol = fs.fairness.RTOL
+    betas = {1.0, 1.5, 2.0, 4.0, factor, factor * (1 - rtol), factor * (1 + 2 * rtol),
+             np.nextafter(factor, INF), factor / (1 - rtol) * (1 + 4 * rtol)}
+    for beta in sorted(b for b in betas if b >= 1.0):
+        witness = violation(beta)
+        assert (witness is not None) == (factor > 1.0 and factor >= beta * (1 - rtol)), beta
+        if witness is not None:
+            assert_witness_blocks(witness, stops, costs, threshold)
+    # Powers of two scale every cost and ratio exactly; other scales round.
+    for scale in (2.0**40, 2.0**-40, 1e-10, 1e12):
+        rescaled, _, rescaled_costs, _ = verifier(name, scaled(inst, scale), stops, alpha)
+        if scale in (2.0**40, 2.0**-40):
+            assert rescaled.factor == factor
+            assert (rescaled.witness is None) == (report.witness is None)
+            if rescaled.witness is not None:
+                assert rescaled.witness.coalition == report.witness.coalition
+                assert rescaled.witness.deviation == report.witness.deviation
+        if rescaled.factor > 1.0:
+            assert_witness_blocks(rescaled.witness, stops, rescaled_costs, threshold)
