@@ -13,23 +13,23 @@ from pathlib import Path
 import fairstops as fs
 from fairstops.cli import main
 
-out = Path(tempfile.mkdtemp()) / "sweep.csv"
-assert main([
-    "experiment", "--out", str(out),
-    "--rounds", "20", "--n", "12", "--m", "8", "--k", "2,4",
-    "--algs", "gc,eca,hybrid:0.5", "--checks", "jr,core", "--alpha", "2",
-]) == 0
-
-with open(out) as fh:
-    fh.readline()  # schema comment
-    rows = list(csv.DictReader(fh))
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "sweep.csv"
+    assert main([
+        "experiment", "--out", str(out),
+        "--rounds", "20", "--n", "12", "--m", "8", "--k", "2,4",
+        "--algs", "gc,eca,hybrid:0.5", "--checks", "jr,core", "--alpha", "2",
+    ]) == 0
+    with open(out) as fh:
+        fh.readline()  # schema comment
+        rows = list(csv.DictReader(fh))
 
 bounds = {
     "gc": (fs.GC_JR_FACTOR, fs.GC_CORE_BETA),
     "eca": (fs.ECA_JR_FACTOR, None),
     "hybrid:0.5": (fs.hybrid_jr_factor(0.5), fs.hybrid_core_beta(0.5)),
 }
-print(f"{len(rows)} rows from {out}")
+print(f"{len(rows)} rows from {out.name}")
 print("algorithm    mean jr  max jr  jr bound   mean core  max core  core beta")
 for alg, (jr_bound, core_beta) in bounds.items():
     jr = [float(r["jr_factor"]) for r in rows if r["algorithm"] == alg]

@@ -50,7 +50,6 @@ from .instances import (
 )
 from .model import (
     INF,
-    TOL,
     ClusteringInstance,
     Instance,
     Metric,

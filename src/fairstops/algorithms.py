@@ -5,14 +5,19 @@ jumping between the finitely many radii at which something can change (a
 ball captures a new endpoint, a pair's cost reaches an agent).  Between two
 consecutive trigger radii nothing happens, so the discretization is exact.
 
-The sweeps work on arrays.  A *unit* is a single stop (whose members are the
-2n endpoints, costed by walking distance) or an unordered stop pair (whose
-members are the n agents, costed by route cost); a sweep holds one
-``(units x members)`` cost matrix and a boolean mask of the members still
-active.  At radius ``r`` a unit covers ``((C <= r) & active).sum(1)``
-members, and the next trigger is the least of the active members'
-retirement costs and, per eligible unit, the ``ceil(2n/k)``-th smallest cost
-over the active members.
+All three sweeps run one trigger loop, ``_sweep``, with two sides, either
+of which may be absent: a *single-stop side*, a ``(stops x endpoints)``
+distance table whose balls have radius ``lam * r``, and a *pair side*, a
+``(pairs x agents)`` cost table over unordered stop pairs plus each agent's
+cost under the current selection.  An agent counts on the pair side only
+while both its endpoints are active.  At radius ``r`` a unit (a stop or a
+pair) covers ``((C <= r) & active).sum(1)`` members and opens at
+``ceil(2n/k)``; the next trigger is the least of the active members'
+retirement costs and, per eligible unit, that order statistic over the
+active members.  :func:`greedy_capture` (so also :func:`gc_trsp`) runs the
+single-stop side alone at ``lam = 1``, with ``ceil(n/k)`` over its n
+datapoints; :func:`eca` runs the pair side alone, with costs capped by the
+walk; :func:`hybrid` runs both, with route costs.
 
 Tie-breaking is fixed throughout: candidates are examined in ascending index
 order, unordered candidate pairs in lexicographic order, and only the first
@@ -126,7 +131,101 @@ def _eligible_pairs(pairs: np.ndarray, is_chosen: np.ndarray, room: int) -> np.n
 
 
 # ---------------------------------------------------------------------------
-# Distance-radius sweep over single stops
+# The trigger loop shared by every sweep
+# ---------------------------------------------------------------------------
+
+
+def _bump_until(value: float, lam: float) -> float:
+    # Smallest r with lam*r >= value under float rounding.  Monotone in
+    # value, so the least trigger of a set is the bump of its least entry.
+    r = value / lam
+    while lam * r < value:
+        r = math.nextafter(r, INF)
+    return r
+
+
+def _sweep(m: int, k: int, members: int, dist: np.ndarray | None = None, lam: float = 1.0,
+           cost=None) -> tuple[list[int], RunTrace]:
+    """Grow one radius ``r`` over a single-stop side, a pair side, or both.
+
+    ``dist`` is the single-stop side, with balls of radius ``lam * r``.
+    ``cost`` is the pair side: it maps a 2-D array of units to their table
+    and a selection to the agents' retirement costs; agent ``i`` owns
+    members ``2i`` and ``2i + 1``.  Phases run in the order :func:`hybrid`
+    documents.  Returns the stops in opening order and the trace.
+    """
+    thr = -(-members // k)
+    live = np.ones(members, dtype=bool)
+    chosen: list[int] = []
+    is_chosen = np.zeros(m, dtype=bool)
+    events: list[TraceEvent] = []
+    r = 0.0
+    if cost is not None:
+        agent_eps = live.reshape(-1, 2)  # view: row i is agent i's two endpoints
+        pairs = _pairs(m)
+        pair_costs = cost(pairs)
+        costs = cost(chosen)
+
+    def retire_endpoints(radius: float) -> None:
+        if dist is not None and chosen:
+            gone = live & (dist[chosen].min(axis=0) <= lam * radius)
+            if gone.any():
+                live[gone] = False
+                events.append(TraceEvent(radius=radius, endpoints=_ids(gone)))
+
+    while live.any():
+        if cost is not None:
+            gone_agents = agent_eps.all(axis=1) & (costs <= r)
+            if gone_agents.any():
+                agent_eps[gone_agents] = False
+                events.append(TraceEvent(radius=r, agents=_ids(gone_agents)))
+        retire_endpoints(r)
+        if cost is not None:
+            while (p := _first_fit(pair_costs, agent_eps.all(axis=1), r, thr,
+                                   _eligible_pairs(pairs, is_chosen, k - len(chosen)))) is not None:
+                covered = agent_eps.all(axis=1) & (pair_costs[p] <= r)
+                agent_eps[covered] = False
+                extra = _open(pairs[p].tolist(), chosen, is_chosen)
+                events.append(TraceEvent(radius=r, opened=extra, agents=_ids(covered)))
+                costs = cost(chosen)
+            # Endpoints now covered by pair-opened stops must not pad the
+            # balls of unrelated single candidates below.
+            retire_endpoints(r)
+        # r stays finite, so at lam = 0 a ball holds only members on its stop.
+        while dist is not None and (c := _first_fit(dist, live, lam * r, thr,
+                                                    ~is_chosen & (len(chosen) < k))) is not None:
+            ball = live & (dist[c] <= lam * r)
+            live[ball] = False
+            events.append(TraceEvent(radius=r, opened=_open((c,), chosen, is_chosen),
+                                     endpoints=_ids(ball)))
+            if cost is not None:
+                costs = cost(chosen)
+        if not live.any():
+            break
+        triggers: list[float] = []
+        if cost is not None:
+            full = agent_eps.all(axis=1)
+            eligible = _eligible_pairs(pairs, is_chosen, k - len(chosen))
+            triggers += _least_finite(costs[full])
+            triggers += _least_finite(_kth_costs(pair_costs[eligible], full, thr))
+        if dist is not None and lam > 0.0:
+            near = dist[chosen][:, live]
+            free = dist[~is_chosen & (len(chosen) < k)]
+            for t in _least_finite(near) + _least_finite(_kth_costs(free, live, thr)):
+                triggers.append(_bump_until(t, lam))
+        if not triggers:
+            if dist is None:
+                events.append(TraceEvent(radius=INF, agents=_ids(agent_eps.all(axis=1))))
+            else:
+                events.append(TraceEvent(radius=INF, endpoints=_ids(live)))
+            break
+        # A retirement trigger can sit at or below r after openings; revisit.
+        r = max(r, min(triggers))
+    return chosen, RunTrace(tuple(events))
+
+
+# ---------------------------------------------------------------------------
+# The three sweeps
 # ---------------------------------------------------------------------------
 
 
@@ -152,46 +251,9 @@ def greedy_capture(clustering: ClusteringInstance) -> tuple[tuple[int, ...], Run
     n, m, kk = clustering.n, clustering.m, clustering.k
     if not 1 <= kk <= m:
         raise ValueError(f"invalid budget k={kk} for m={m}")
-    thr = -(-n // kk)
     dist = np.ascontiguousarray(clustering.point_center_dists().T)
-    alive = np.ones(n, dtype=bool)
-    chosen: list[int] = []
-    is_chosen = np.zeros(m, dtype=bool)
-    events: list[TraceEvent] = []
-    r = 0.0
-    while alive.any():
-        moved = True
-        while moved and alive.any():
-            moved = False
-            if chosen:
-                covered = alive & (dist[chosen].min(axis=0) <= r)
-                if covered.any():
-                    events.append(TraceEvent(radius=r, endpoints=_ids(covered)))
-                    alive &= ~covered
-                    moved = True
-            c = _first_fit(dist, alive, r, thr, ~is_chosen)
-            if c is not None:
-                ball = alive & (dist[c] <= r)
-                events.append(TraceEvent(radius=r, opened=_open((c,), chosen, is_chosen),
-                                         endpoints=_ids(ball)))
-                alive &= ~ball
-                moved = True
-        if not alive.any():
-            break
-        triggers = _kth_costs(dist[~is_chosen], alive, thr)
-        if chosen:
-            triggers = np.append(triggers, dist[chosen][:, alive].min())
-        nxt = _least_finite(triggers[triggers > r])
-        if not nxt:
-            events.append(TraceEvent(radius=INF, endpoints=_ids(alive)))
-            break
-        r = nxt[0]
-    return tuple(chosen), RunTrace(tuple(events))
-
-
-# ---------------------------------------------------------------------------
-# Cost-radius sweep over stop pairs
-# ---------------------------------------------------------------------------
+    chosen, trace = _sweep(m, kk, n, dist=dist)
+    return tuple(chosen), trace
 
 
 def eca(instance: Instance) -> tuple[Solution, RunTrace]:
@@ -209,44 +271,9 @@ def eca(instance: Instance) -> tuple[Solution, RunTrace]:
     metrics.
     """
     require_valid_structure(instance)
-    n, m, k = instance.n, instance.m, instance.k
-    thr = coverage_threshold(n, k)
-    pairs = _pairs(m)
-    pair_costs = solution_costs(instance, pairs)
-    active = np.ones(n, dtype=bool)
-    chosen: list[int] = []
-    is_chosen = np.zeros(m, dtype=bool)
-    events: list[TraceEvent] = []
-    r = 0.0
-    costs = solution_costs(instance, chosen)
-    while active.any():
-        drop = active & (costs <= r)
-        if drop.any():
-            active &= ~drop
-            events.append(TraceEvent(radius=r, agents=_ids(drop)))
-        while (p := _first_fit(pair_costs, active, r, thr,
-                               _eligible_pairs(pairs, is_chosen, k - len(chosen)))) is not None:
-            covered = active & (pair_costs[p] <= r)
-            active &= ~covered
-            extra = _open(pairs[p].tolist(), chosen, is_chosen)
-            events.append(TraceEvent(radius=r, opened=extra, agents=_ids(covered)))
-            costs = solution_costs(instance, chosen)
-        if not active.any():
-            break
-        eligible = _eligible_pairs(pairs, is_chosen, k - len(chosen))
-        triggers = _least_finite(costs[active])
-        triggers += _least_finite(_kth_costs(pair_costs[eligible], active, thr))
-        if not triggers:
-            events.append(TraceEvent(radius=INF, agents=_ids(active)))
-            break
-        # A retirement trigger can sit at or below r after openings; revisit.
-        r = max(r, min(triggers))
-    return Solution.of(chosen), RunTrace(tuple(events))
-
-
-# ---------------------------------------------------------------------------
-# Hybrid sweep: single-stop balls and pair cost balls under one radius
-# ---------------------------------------------------------------------------
+    chosen, trace = _sweep(instance.m, instance.k, 2 * instance.n,
+                           cost=lambda units: solution_costs(instance, units))
+    return Solution.of(chosen), trace
 
 
 @dataclass(frozen=True)
@@ -264,15 +291,6 @@ class HybridParams:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
-
-
-def _bump_until(value: float, lam: float) -> float:
-    # Smallest r with lam*r >= value under float rounding.  Monotone in
-    # value, so the least trigger of a set is the bump of its least entry.
-    r = value / lam
-    while lam * r < value:
-        r = math.nextafter(r, INF)
-    return r
 
 
 def hybrid(instance: Instance, params: HybridParams | float) -> tuple[Solution, RunTrace]:
@@ -297,69 +315,11 @@ def hybrid(instance: Instance, params: HybridParams | float) -> tuple[Solution, 
     """
     if not isinstance(params, HybridParams):
         params = HybridParams(float(params))
-    lam = params.lam
     require_valid_structure(instance)
-    n, m, k = instance.n, instance.m, instance.k
-    thr = coverage_threshold(n, k)
-    pairs = _pairs(m)
-    pair_costs = route_costs(instance, pairs)
     dist = np.ascontiguousarray(instance.endpoint_candidate_dists().T)
-    ep_active = np.ones(2 * n, dtype=bool)
-    agent_eps = ep_active.reshape(n, 2)  # view: row i is agent i's two endpoints
-    chosen: list[int] = []
-    is_chosen = np.zeros(m, dtype=bool)
-    events: list[TraceEvent] = []
-    r = 0.0
-    costs = route_costs(instance, chosen)
-
-    def retire_endpoints(radius: float) -> None:
-        if chosen:
-            gone = ep_active & (dist[chosen].min(axis=0) <= lam * radius)
-            if gone.any():
-                ep_active[gone] = False
-                events.append(TraceEvent(radius=radius, endpoints=_ids(gone)))
-
-    while ep_active.any():
-        gone_agents = agent_eps.all(axis=1) & (costs <= r)
-        if gone_agents.any():
-            agent_eps[gone_agents] = False
-            events.append(TraceEvent(radius=r, agents=_ids(gone_agents)))
-        retire_endpoints(r)
-        while (p := _first_fit(pair_costs, agent_eps.all(axis=1), r, thr,
-                               _eligible_pairs(pairs, is_chosen, k - len(chosen)))) is not None:
-            covered = agent_eps.all(axis=1) & (pair_costs[p] <= r)
-            agent_eps[covered] = False
-            extra = _open(pairs[p].tolist(), chosen, is_chosen)
-            events.append(TraceEvent(radius=r, opened=extra, agents=_ids(covered)))
-            costs = route_costs(instance, chosen)
-        # Endpoints now covered by pair-opened stops must not pad the balls
-        # of unrelated single candidates below.
-        retire_endpoints(r)
-        # r stays finite, so at lam = 0 a ball holds only endpoints on its stop.
-        while (c := _first_fit(dist, ep_active, lam * r, thr,
-                               ~is_chosen & (len(chosen) < k))) is not None:
-            ball = ep_active & (dist[c] <= lam * r)
-            ep_active[ball] = False
-            events.append(TraceEvent(radius=r, opened=_open((c,), chosen, is_chosen),
-                                     endpoints=_ids(ball)))
-            costs = route_costs(instance, chosen)
-        if not ep_active.any():
-            break
-        full = agent_eps.all(axis=1)
-        eligible = _eligible_pairs(pairs, is_chosen, k - len(chosen))
-        triggers = _least_finite(costs[full])
-        triggers += _least_finite(_kth_costs(pair_costs[eligible], full, thr))
-        if lam > 0.0:
-            near = dist[chosen][:, ep_active]
-            free = dist[~is_chosen & (len(chosen) < k)]
-            for t in _least_finite(near) + _least_finite(_kth_costs(free, ep_active, thr)):
-                triggers.append(_bump_until(t, lam))
-        if not triggers:
-            events.append(TraceEvent(radius=INF, endpoints=_ids(ep_active)))
-            break
-        # A retirement trigger can sit at or below r after openings; revisit.
-        r = max(r, min(triggers))
-    return Solution.of(chosen), RunTrace(tuple(events))
+    chosen, trace = _sweep(instance.m, instance.k, 2 * instance.n, dist=dist, lam=params.lam,
+                           cost=lambda units: route_costs(instance, units))
+    return Solution.of(chosen), trace
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,14 @@ from .instances import (
     read_instance,
     write_instance,
 )
-from .model import Instance, induce_clustering, solution_costs, total_cost, validate_instance
+from .model import (
+    Instance,
+    induce_clustering,
+    solution_costs,
+    structure_problems,
+    total_cost,
+    validate_instance,
+)
 
 _FAMILY_PARAM_FLAGS = ("eps", "h", "gamma", "r", "lam", "delta", "ell")
 
@@ -114,11 +121,15 @@ def _cmd_gen(args) -> int:
 
 def _load_instance(path) -> Instance:
     try:
-        return read_instance(path)
+        instance = read_instance(path)
     except InstanceParseError as exc:
         raise _CliError(str(exc))
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}")
+    problems = structure_problems(instance)
+    if problems:
+        raise _CliError(f"{path}: " + "; ".join(problems))
+    return instance
 
 
 def _run_algorithm(instance: Instance, alg: str, lam: float | None):

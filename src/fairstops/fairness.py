@@ -51,6 +51,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from .algorithms import EnumerationGuardError, coverage_threshold
 from .model import (
     INF,
+    RTOL,
     ClusteringInstance,
     Instance,
     as_stops,
@@ -62,9 +63,6 @@ CORE_GUARD_M = 24
 
 #: Environment variable overriding :data:`CORE_GUARD_M`.
 CORE_GUARD_ENV = "FAIRSTOPS_CORE_GUARD_M"
-
-#: Relative slack of the boundary rule: ratios this close below ``beta`` reach it.
-RTOL = 1e-12
 
 #: Floats one block of targets may take in its cost kernel (8 MB).
 BLOCK_FLOATS = 1 << 20

@@ -24,8 +24,9 @@ import numpy as np
 
 INF = math.inf
 
-#: Absolute tolerance for all floating-point comparisons in this package.
-TOL = 1e-9
+#: Relative slack of every floating-point comparison in this package: a value
+#: within this fraction of a bound is taken to meet it.
+RTOL = 1e-12
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -82,7 +83,7 @@ class Metric:
         # Triangle inequality, vacuous whenever the right side is infinite.
         for mid in range(p):
             through = d[:, [mid]] + d[[mid], :]
-            bad = d > through + TOL
+            bad = d > through * (1.0 + RTOL)
             for i, j in np.argwhere(bad):
                 if i < j:
                     out.append(
@@ -358,16 +359,12 @@ def total_cost(instance: Instance, solution) -> float:
 # ---------------------------------------------------------------------------
 
 
-def validate_instance(instance: Instance) -> list[str]:
-    """Check every structural invariant and return one message per violation.
-
-    An empty report means the instance is valid.  This never raises; malformed
-    indices are reported alongside metric violations (asymmetry, nonzero
-    diagonal, triangle violations beyond ``TOL``).
-    """
+def structure_problems(instance: Instance) -> list[str]:
+    """One message per broken structural invariant: the budget, the endpoint
+    and candidate index ranges, and the transit size (no metric check)."""
     out: list[str] = []
     p = instance.walk.size
-    n, m, k = instance.n, instance.m, instance.k
+    m, k = instance.m, instance.k
     raw_ep = np.asarray(instance.endpoints)
     if not 1 <= k <= m:
         out.append(f"budget k={k} outside [1, m={m}]")
@@ -375,10 +372,23 @@ def validate_instance(instance: Instance) -> list[str]:
         out.append(f"endpoint index out of range [0, {p})")
     if m and (instance.candidates.min() < 0 or instance.candidates.max() >= p):
         out.append(f"candidate index out of range [0, {p})")
-    if len(set(instance.candidates.tolist())) != m:
-        out.append("duplicate candidate point indices")
     if instance.transit.size != m:
         out.append(f"transit metric size {instance.transit.size} != m={m}")
+    return out
+
+
+def validate_instance(instance: Instance) -> list[str]:
+    """Check every structural invariant and return one message per violation.
+
+    An empty report means the instance is valid.  This never raises; the
+    :func:`structure_problems` come first, then duplicate candidates and
+    metric violations (asymmetry, nonzero diagonal, triangle violations by
+    more than the relative ``RTOL``, so the report is the same at any
+    distance scale).
+    """
+    out = structure_problems(instance)
+    if len(set(instance.candidates.tolist())) != instance.m:
+        out.append("duplicate candidate point indices")
     out.extend(instance.walk.violations("walk"))
     out.extend(instance.transit.violations("transit"))
     return out
@@ -386,16 +396,9 @@ def validate_instance(instance: Instance) -> list[str]:
 
 def require_valid_structure(instance: Instance) -> None:
     """Cheap structural guard used by the algorithms (no O(p^3) metric check)."""
-    p = instance.walk.size
-    if not 1 <= instance.k <= instance.m:
-        raise ValueError(f"invalid budget k={instance.k} for m={instance.m}")
-    raw_ep = np.asarray(instance.endpoints)
-    if raw_ep.size and (raw_ep.min() < 0 or raw_ep.max() >= p):
-        raise ValueError("endpoint index out of range")
-    if instance.m and (instance.candidates.min() < 0 or instance.candidates.max() >= p):
-        raise ValueError("candidate index out of range")
-    if instance.transit.size != instance.m:
-        raise ValueError("transit metric size mismatch")
+    problems = structure_problems(instance)
+    if problems:
+        raise ValueError(problems[0])
 
 
 # ---------------------------------------------------------------------------

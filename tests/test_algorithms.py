@@ -57,6 +57,18 @@ def test_gc_opens_at_radius_zero_on_coincident_endpoints():
     assert 0 in sol
 
 
+def test_greedy_capture_odd_datapoint_count():
+    # Three datapoints, k = 2: balls need ceil(3/2) = 2 of them, so the
+    # sweep must not assume members come in agent pairs.
+    line = fs.LineClusteringInstance(datapoints=(0, 1, 10), centers=(0, 10), k=2)
+    picked, trace = fs.greedy_capture(fs.line_to_clustering(line))
+    assert picked == (0,)
+    assert trace.events == (
+        fs.TraceEvent(radius=1.0, opened=(0,), endpoints=(0, 1)),
+        fs.TraceEvent(radius=10.0, endpoints=(2,)),
+    )
+
+
 def test_gc_matches_clustering_twin_event_for_event(corpus):
     # The radius pass over every endpoint-to-stop distance is the independent
     # form of greedy capture that gc_trsp used to run.
@@ -241,8 +253,9 @@ def test_sweeps_force_retire_unreachable_endpoints():
     assert trace_h.events[0] == fs.TraceEvent(radius=0.0, opened=(0,), endpoints=(0, 2))
     assert trace_h.events[-1].radius == math.inf
     assert sorted(trace_h.events[-1].endpoints) == [1, 3]
-    for run in (fs.eca(inst), fs.gc_trsp(inst)):
-        assert run[1].events[-1].radius == math.inf
+    # eca has no single-stop side, so its stranded event names agents.
+    assert fs.eca(inst)[1].events[-1] == fs.TraceEvent(radius=math.inf, agents=(0, 1))
+    assert fs.gc_trsp(inst)[1].events[-1] == fs.TraceEvent(radius=math.inf, endpoints=(1, 3))
 
 
 def test_hybrid_rejects_bad_weight():

@@ -4,6 +4,8 @@ import csv
 import json
 import math
 
+import pytest
+
 import fairstops as fs
 from fairstops.cli import main
 
@@ -113,6 +115,34 @@ def test_run_writes_trace(tmp_path, capsys):
 def test_run_missing_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "run", "--instance", "/nonexistent.json", "--alg", "gc")
     assert code == 2
+
+
+def _broken_instance_file(tmp_path, field):
+    """A 12-point instance file with k > m or an endpoint index out of range."""
+    path = tmp_path / f"bad_{field}.json"
+    fs.write_instance(fs.random_euclidean(4, 4, 2, 0), path)
+    doc = json.loads(path.read_text())
+    if field == "k":
+        doc["k"] = doc["m"] + 1
+    else:
+        doc["endpoints"][0][1] = 999
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("field", ["k", "endpoint"])
+@pytest.mark.parametrize("command", ["run", "verify", "experiment"])
+def test_structurally_bad_instance_exits_2(tmp_path, capsys, command, field):
+    path = str(_broken_instance_file(tmp_path, field))
+    argv = {
+        "run": ["run", "--instance", path, "--alg", "gc"],
+        "verify": ["verify", "--instance", path, "--solution", "0", "--prop", "jr"],
+        "experiment": ["experiment", "--instance", path, "--rounds", "1",
+                       "--out", str(tmp_path / "x.csv")],
+    }[command]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert ("k=" if field == "k" else "endpoint index") in err
 
 
 # ---------------------------------------------------------------------------

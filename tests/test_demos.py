@@ -13,8 +13,11 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_exits_0(demo, tmp_path):
-    # TMPDIR keeps the files a demo leaves behind inside the test's directory.
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
+    # A demo's temporary files go to a directory of their own, which must be
+    # empty again once the demo exits.
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmpdir))
     proc = subprocess.run(
         [sys.executable, str(demo)],
         cwd=tmp_path,
@@ -24,3 +27,4 @@ def test_demo_exits_0(demo, tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert not any(tmpdir.iterdir()), sorted(p.name for p in tmpdir.iterdir())

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -205,6 +206,41 @@ def test_validate_never_throws_on_bad_budget():
     inst = tiny_instance(walk, endpoints=[(0, 1)], candidates=[0], k=5)
     issues = fs.validate_instance(inst)
     assert any("budget" in m for m in issues), issues
+
+
+def scaled(inst, scale):
+    return fs.Instance(
+        endpoints=inst.endpoints,
+        candidates=inst.candidates,
+        walk=fs.Metric(inst.walk.dist * scale),
+        transit=fs.Metric(inst.transit.dist * scale),
+        k=inst.k,
+    )
+
+
+def test_validate_report_is_scale_free():
+    base = fs.random_euclidean(5, 4, 2, 0)
+    walk = base.walk.dist.copy()
+    walk[0, 1] *= 3.0  # agent 0's direct walk now exceeds most detours
+    walk[1, 0] *= 3.0
+    bent = fs.Instance(endpoints=base.endpoints, candidates=base.candidates,
+                       walk=fs.Metric(walk), transit=base.transit, k=base.k)
+    # Messages print the distances; compare them with the numbers blanked.
+    reports = [
+        [re.sub(r"=\S+", "=", msg) for msg in fs.validate_instance(scaled(bent, scale))]
+        for scale in (1.0, 1e-12, 1e12)
+    ]
+    assert len(reports[0]) == 11
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e12])
+def test_every_family_validates_clean_at_any_scale(scale):
+    for name in sorted(fs.FAMILIES):
+        inst = fs.generate(name)
+        if isinstance(inst, fs.LineClusteringInstance):
+            inst = fs.clustering_to_trsp(fs.line_to_clustering(inst))
+        assert fs.validate_instance(scaled(inst, scale)) == [], name
 
 
 # ---------------------------------------------------------------------------
