@@ -192,8 +192,10 @@ def _sweep(m: int, k: int, members: int, dist: np.ndarray | None = None, lam: fl
             # balls of unrelated single candidates below.
             retire_endpoints(r)
         # r stays finite, so at lam = 0 a ball holds only members on its stop.
+        # No budget test is needed here: every stop retires at least ``thr``
+        # members, so all are retired before ``k`` stops are open.
         while dist is not None and (c := _first_fit(dist, live, lam * r, thr,
-                                                    ~is_chosen & (len(chosen) < k))) is not None:
+                                                    ~is_chosen)) is not None:
             ball = live & (dist[c] <= lam * r)
             live[ball] = False
             events.append(TraceEvent(radius=r, opened=_open((c,), chosen, is_chosen),
@@ -210,7 +212,7 @@ def _sweep(m: int, k: int, members: int, dist: np.ndarray | None = None, lam: fl
             triggers += _least_finite(_kth_costs(pair_costs[eligible], full, thr))
         if dist is not None and lam > 0.0:
             near = dist[chosen][:, live]
-            free = dist[~is_chosen & (len(chosen) < k)]
+            free = dist[~is_chosen]
             for t in _least_finite(near) + _least_finite(_kth_costs(free, live, thr)):
                 triggers.append(_bump_until(t, lam))
         if not triggers:

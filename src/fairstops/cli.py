@@ -332,12 +332,19 @@ def _cmd_experiment(args) -> int:
         ks = [int(tok) for tok in str(args.k).split(",") if tok.strip()]
     except ValueError:
         raise _CliError(f"--k must be comma-separated integers, got {args.k!r}")
+    # A file or family instance is the same in every round: build it once,
+    # so a bad one fails before any round runs.
+    fixed = None
     if args.instance:
-        source = "file"
+        fixed = _load_instance(args.instance)
     elif args.family:
-        source = "family"
+        try:
+            fixed = generate(args.family, **_collect_family_params(args))
+        except (ValueError, TypeError) as exc:
+            raise _CliError(str(exc))
+        if not isinstance(fixed, Instance):
+            raise _CliError("line instances are not supported by experiment")
     else:
-        source = "random"
         if not ks:
             raise _CliError("random experiments need --k")
         for flag, value in (("--n", args.n), ("--m", args.m), ("--k", min(ks))):
@@ -347,13 +354,8 @@ def _cmd_experiment(args) -> int:
     rows = []
     for round_idx in range(args.rounds):
         seed = args.seed_base + round_idx
-        if source == "file":
-            instances = [(seed, _load_instance(args.instance))]
-        elif source == "family":
-            built = generate(args.family, **_collect_family_params(args))
-            if not isinstance(built, Instance):
-                raise _CliError("line instances are not supported by experiment")
-            instances = [(seed, built)]
+        if fixed is not None:
+            instances = [(seed, fixed)]
         else:
             instances = [
                 (seed, random_euclidean(args.n, args.m, k, seed, transit=mode, factor=factor))
@@ -391,8 +393,6 @@ def _cmd_experiment(args) -> int:
                         )
                 except EnumerationGuardError:
                     row["core_factor"] = "error"
-                except Exception:
-                    row["total_cost"] = "error"
                 if args.timing:
                     row["runtime_ms"] = f"{(time.perf_counter() - t0) * 1e3:.3f}"
                 rows.append(row)

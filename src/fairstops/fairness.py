@@ -35,7 +35,9 @@ exceeds 1 and reaches ``beta`` under the same rule.
 
 The core checker has two interchangeable backends: exhaustive enumeration of
 deviation targets (the reference) and a 0/1 integer program solved by
-branch-and-bound, cross-checked against each other in the tests.
+branch-and-bound, cross-checked against each other in the tests.  Only the
+integer program needs scipy, and :func:`milp` imports it on its first solve,
+so importing the package and every other check leave scipy unloaded.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .algorithms import EnumerationGuardError, coverage_threshold
 from .model import (
@@ -296,6 +297,19 @@ def _core(instance: Instance, solution, alpha, beta: float | None, backend: str)
 # ---------------------------------------------------------------------------
 
 
+def milp(c, constraints, integrality, bounds):
+    """``scipy.optimize.milp`` on ``constraints = (A, lo, hi)`` and
+    ``bounds = (lb, ub)``; scipy is imported on the first call only."""
+    from scipy import optimize
+
+    return optimize.milp(
+        c=c,
+        constraints=optimize.LinearConstraint(*constraints),
+        integrality=integrality,
+        bounds=optimize.Bounds(*bounds),
+    )
+
+
 def _core_violation_milp(
     instance, cy, alpha: Fraction, pairs: np.ndarray, reach: np.ndarray
 ) -> Witness | None:
@@ -344,9 +358,9 @@ def _core_violation_milp(
     )
     res = milp(
         c=cost,
-        constraints=LinearConstraint(np.array(rows), lo, hi),
+        constraints=(np.array(rows), lo, hi),
         integrality=np.ones(nvar),
-        bounds=Bounds(np.zeros(nvar), upper),
+        bounds=(np.zeros(nvar), upper),
     )
     if res.status != 0 or res.x is None:
         raise RuntimeError(f"core MILP did not solve: {res.message}")

@@ -341,6 +341,26 @@ def test_experiment_bad_args_exit_2(tmp_path, capsys):
     assert code == 2 and "--k" in err
     code, _, err = run_cli(capsys, "experiment", "--out", str(out), "--n", "-3")
     assert code == 2 and "--n" in err
+    code, _, err = run_cli(
+        capsys, "experiment", "--out", str(out), "--family", "gc-core-tight", "--eps", "-1"
+    )
+    assert code == 2 and "eps" in err
+    code, _, err = run_cli(capsys, "experiment", "--out", str(out), "--family", "nosuch")
+    assert code == 2 and "nosuch" in err
+    assert not out.exists()
+
+
+def test_experiment_raises_unexpected_errors(tmp_path, monkeypatch):
+    # Only the enumeration guard becomes an "error" cell; a bug propagates.
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken verifier")
+
+    monkeypatch.setattr("fairstops.cli.jr_ratio", broken)
+    out = tmp_path / "x.csv"
+    with pytest.raises(RuntimeError, match="broken verifier"):
+        main(["experiment", "--out", str(out), "--rounds", "1", "--n", "6", "--m", "5",
+              "--k", "2", "--algs", "gc", "--checks", "jr"])
+    assert not out.exists()
 
 
 def test_version(capsys):

@@ -1,0 +1,74 @@
+"""scipy is loaded by the core MILP backend only.
+
+Each check runs in a fresh interpreter, so modules imported by other tests
+cannot hide an import; it counts modules, not time.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: Runs CLI commands in order and prints, per step, the scipy modules loaded
+#: after it, plus the core factors of both backends.
+SCRIPT = r"""
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.startswith("scipy"))
+
+loaded = {}
+import fairstops
+loaded["import"] = scipy_modules()
+from fairstops.cli import main
+
+def call(step, *argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    assert code in (0, 1), (step, code)  # verify exits 1 on a violation
+    loaded[step] = scipy_modules()
+    return out.getvalue()
+
+verify = ["verify", "--instance", "inst.json", "--solution", "0,3", "--json"]
+call("gen", "gen", "--family", "jr-lower", "--out", "inst.json")
+call("run", "run", "--instance", "inst.json", "--alg", "hybrid", "--lam", "0.5",
+     "--trace", "trace.json")
+call("verify-jr", *verify, "--prop", "jr")
+enumerate_out = call("verify-core", *verify, "--prop", "core", "--alpha", "1")
+call("verify-pf", *verify, "--prop", "pf")
+call("experiment", "experiment", "--out", "x.csv", "--rounds", "1", "--n", "6",
+     "--m", "5", "--k", "2", "--checks", "jr,core,pf")
+milp_out = call("verify-core-milp", *verify, "--prop", "core", "--alpha", "1",
+                "--backend", "milp")
+print(json.dumps({
+    "loaded": loaded,
+    "enumerate": json.loads(enumerate_out)["factor"],
+    "milp": json.loads(milp_out)["factor"],
+}))
+"""
+
+
+def test_scipy_loads_only_for_the_core_milp(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    loaded = result["loaded"]
+    milp_step = loaded.pop("verify-core-milp")
+    assert list(loaded) == [
+        "import", "gen", "run", "verify-jr", "verify-core", "verify-pf", "experiment",
+    ]
+    assert all(modules == [] for modules in loaded.values()), loaded
+    assert "scipy.optimize" in milp_step
+    assert result["milp"] == result["enumerate"] > 1.0
