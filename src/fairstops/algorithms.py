@@ -12,9 +12,14 @@ distance table whose balls have radius ``lam * r``, and a *pair side*, a
 cost under the current selection.  An agent counts on the pair side only
 while both its endpoints are active.  At radius ``r`` a unit (a stop or a
 pair) covers ``((C <= r) & active).sum(1)`` members and opens at
-``ceil(2n/k)``; the next trigger is the least of the active members'
-retirement costs and, per eligible unit, that order statistic over the
-active members.  :func:`greedy_capture` (so also :func:`gc_trsp`) runs the
+``ceil(2n/k)``, that is once its key, the ``ceil(2n/k)``-th smallest cost
+over its active members, is at most ``r``.  While no stop opens, members
+only retire, so keys never fall and no unit becomes eligible; no unit can
+open below the least eligible key.  Every retirement below that bound is
+known in closed form from the current selection, so the loop takes them all
+in one vectorised pass and jumps from one possible opening radius to the
+next, at the same radii and with the same events as a pass per trigger.
+:func:`greedy_capture` (so also :func:`gc_trsp`) runs the
 single-stop side alone at ``lam = 1``, with ``ceil(n/k)`` over its n
 datapoints; :func:`eca` runs the pair side alone, with costs capped by the
 walk; :func:`hybrid` runs both, with route costs.
@@ -91,24 +96,26 @@ def _ids(mask: np.ndarray) -> tuple[int, ...]:
     return tuple(np.flatnonzero(mask).tolist())
 
 
-def _least_finite(values: np.ndarray) -> list[float]:
-    """The smallest finite entry of ``values`` as a one-element list, or []."""
-    finite = values[np.isfinite(values)]
-    return [float(finite.min())] if finite.size else []
+def _first(mask: np.ndarray) -> int | None:
+    """Index of the first true entry of ``mask``, or None."""
+    return int(mask.argmax()) if mask.any() else None
 
 
-def _first_fit(costs: np.ndarray, live: np.ndarray, r: float, thr: int, eligible) -> int | None:
-    """First eligible unit (row) whose ball of radius ``r`` holds ``thr`` live members."""
-    rows = np.flatnonzero(eligible)
-    fits = ((costs[rows] <= r) & live).sum(axis=1) >= thr
-    return int(rows[fits.argmax()]) if fits.any() else None
+def _kth(table: np.ndarray, thr: int) -> np.ndarray:
+    """Per row, the ``thr``-th smallest entry; INF for rows shorter than ``thr``."""
+    if table.shape[1] < thr:
+        return np.full(len(table), INF)
+    return np.partition(table, thr - 1, axis=1)[:, thr - 1]
 
 
-def _kth_costs(costs: np.ndarray, live: np.ndarray, thr: int) -> np.ndarray:
-    """Per unit (row), the ``thr``-th smallest cost over the live members."""
-    if np.count_nonzero(live) < thr:
-        return np.empty(0)
-    return np.partition(costs[:, live], thr - 1, axis=1)[:, thr - 1]
+def _rekey(key: np.ndarray, table: np.ndarray, lost: np.ndarray, kept: np.ndarray,
+           thr: int) -> None:
+    """Keep ``key`` equal to ``_kth`` of ``table`` over columns ``kept`` once
+    columns ``lost`` have left.  A row whose lost entries all exceed its key
+    keeps that key, so only the other rows are partitioned again."""
+    rows = np.flatnonzero((table[:, lost] <= key[:, None]).any(axis=1))
+    if rows.size:
+        key[rows] = _kth(table[np.ix_(rows, kept)], thr)
 
 
 def _open(unit, chosen: list[int], is_chosen: np.ndarray) -> tuple[int, ...]:
@@ -135,12 +142,17 @@ def _eligible_pairs(pairs: np.ndarray, is_chosen: np.ndarray, room: int) -> np.n
 # ---------------------------------------------------------------------------
 
 
-def _bump_until(value: float, lam: float) -> float:
-    # Smallest r with lam*r >= value under float rounding.  Monotone in
-    # value, so the least trigger of a set is the bump of its least entry.
-    r = value / lam
-    while lam * r < value:
-        r = math.nextafter(r, INF)
+def _bump_until(values, lam: float) -> np.ndarray:
+    """Elementwise smallest ``r`` with ``lam * r >= value`` under float rounding.
+
+    Monotone in ``value``, so the least bump of a set is the bump of its
+    least entry.  At ``lam = 0`` only values at or below 0 are ever reached.
+    """
+    if lam == 0.0:
+        return np.where(np.asarray(values) <= 0.0, 0.0, INF)
+    r = np.asarray(values, dtype=float) / lam
+    while (low := lam * r < values).any():
+        r = np.where(low, np.nextafter(r, INF), r)
     return r
 
 
@@ -153,76 +165,114 @@ def _sweep(m: int, k: int, members: int, dist: np.ndarray | None = None, lam: fl
     and a selection to the agents' retirement costs; agent ``i`` owns
     members ``2i`` and ``2i + 1``.  Phases run in the order :func:`hybrid`
     documents.  Returns the stops in opening order and the trace.
+
+    Each side caches its units' keys (``_kth`` over the live members) and
+    refreshes only rows that lose a member at or below their key, so a
+    first fit is ``key <= r`` (``lam * r`` for stops).  After the openings at ``r``,
+    ``bound`` is the least radius at which any unit could open: the least
+    eligible pair key, or the bump of the least unchosen stop key.  Until a
+    stop opens, keys only rise and eligibility only shrinks, so nothing
+    opens below ``bound`` and every retirement up to it is known in closed
+    form: agent ``i`` at ``max(r, costs[i])`` if that is no later than both
+    its endpoints, else each endpoint alone at ``max(r, bump(near))``.
+    ``retire`` emits them in the order the pass-by-pass loop would, and the
+    sweep moves on to ``bound`` itself.  A radius where nothing is due
+    leaves no event, so landing on ``bound`` after its key has risen is
+    harmless.
     """
     thr = -(-members // k)
     live = np.ones(members, dtype=bool)
     chosen: list[int] = []
     is_chosen = np.zeros(m, dtype=bool)
     events: list[TraceEvent] = []
-    r = 0.0
+    r = bound = 0.0
     if cost is not None:
         agent_eps = live.reshape(-1, 2)  # view: row i is agent i's two endpoints
         pairs = _pairs(m)
         pair_costs = cost(pairs)
+        pair_key = _kth(pair_costs, thr)
         costs = cost(chosen)
+    if dist is not None:
+        stop_key = _kth(dist, thr)
 
-    def retire_endpoints(radius: float) -> None:
+    def near() -> np.ndarray:
+        return dist[chosen].min(axis=0) if chosen else np.full(members, INF)
+
+    def drop(gone: np.ndarray) -> None:
+        """Retire the live members in mask ``gone`` and refresh both key caches."""
+        if cost is not None:
+            was = agent_eps.all(axis=1)
+        live[gone] = False
+        if cost is not None:
+            full = agent_eps.all(axis=1)
+            _rekey(pair_key, pair_costs, np.flatnonzero(was & ~full), np.flatnonzero(full), thr)
+        if dist is not None:
+            _rekey(stop_key, dist, np.flatnonzero(gone), np.flatnonzero(live), thr)
+
+    def retire(upto: float) -> None:
+        """Retire every member due at a finite radius at most ``upto``, in
+        ascending radius, agents before endpoints at a shared one."""
+        t_ep = np.full(members, INF)
         if dist is not None and chosen:
-            gone = live & (dist[chosen].min(axis=0) <= lam * radius)
-            if gone.any():
-                live[gone] = False
-                events.append(TraceEvent(radius=radius, endpoints=_ids(gone)))
+            t_ep[live] = np.maximum(r, _bump_until(near()[live], lam))
+        gone = live & (t_ep <= upto) & (t_ep < INF)
+        eps = np.flatnonzero(gone)
+        agents, t_ag = np.empty(0, dtype=int), np.empty(0)
+        if cost is not None:
+            t_ag = np.where(agent_eps.all(axis=1), np.maximum(r, costs), INF)
+            whole = (t_ag <= np.minimum(upto, t_ep.reshape(-1, 2).min(axis=1))) & (t_ag < INF)
+            agents = np.flatnonzero(whole)
+            eps = eps[~whole[eps // 2]]
+            gone |= np.repeat(whole, 2)
+        radius = np.concatenate([t_ag[agents], t_ep[eps]])
+        kind = np.repeat([0, 1], [agents.size, eps.size])
+        ids = np.concatenate([agents, eps])
+        order = np.lexsort((ids, kind, radius))
+        rows = zip(radius[order].tolist(), kind[order].tolist(), ids[order].tolist())
+        for (t, is_ep), group in itertools.groupby(rows, key=lambda row: row[:2]):
+            who = tuple(row[2] for row in group)
+            events.append(TraceEvent(radius=t, endpoints=who) if is_ep
+                          else TraceEvent(radius=t, agents=who))
+        drop(gone)
 
-    while live.any():
+    while True:
+        retire(bound)
+        if not live.any():
+            break
+        if bound == INF:
+            events.append(TraceEvent(radius=INF, agents=_ids(agent_eps.all(axis=1)))
+                          if dist is None else TraceEvent(radius=INF, endpoints=_ids(live)))
+            break
+        r = bound
         if cost is not None:
-            gone_agents = agent_eps.all(axis=1) & (costs <= r)
-            if gone_agents.any():
-                agent_eps[gone_agents] = False
-                events.append(TraceEvent(radius=r, agents=_ids(gone_agents)))
-        retire_endpoints(r)
-        if cost is not None:
-            while (p := _first_fit(pair_costs, agent_eps.all(axis=1), r, thr,
-                                   _eligible_pairs(pairs, is_chosen, k - len(chosen)))) is not None:
+            while (p := _first(_eligible_pairs(pairs, is_chosen, k - len(chosen))
+                               & (pair_key <= r))) is not None:
                 covered = agent_eps.all(axis=1) & (pair_costs[p] <= r)
-                agent_eps[covered] = False
                 extra = _open(pairs[p].tolist(), chosen, is_chosen)
                 events.append(TraceEvent(radius=r, opened=extra, agents=_ids(covered)))
+                drop(np.repeat(covered, 2))
                 costs = cost(chosen)
             # Endpoints now covered by pair-opened stops must not pad the
             # balls of unrelated single candidates below.
-            retire_endpoints(r)
+            if dist is not None and chosen and (gone := live & (near() <= lam * r)).any():
+                events.append(TraceEvent(radius=r, endpoints=_ids(gone)))
+                drop(gone)
         # r stays finite, so at lam = 0 a ball holds only members on its stop.
         # No budget test is needed here: every stop retires at least ``thr``
         # members, so all are retired before ``k`` stops are open.
-        while dist is not None and (c := _first_fit(dist, live, lam * r, thr,
-                                                    ~is_chosen)) is not None:
+        while dist is not None and (c := _first(~is_chosen & (stop_key <= lam * r))) is not None:
             ball = live & (dist[c] <= lam * r)
-            live[ball] = False
             events.append(TraceEvent(radius=r, opened=_open((c,), chosen, is_chosen),
                                      endpoints=_ids(ball)))
+            drop(ball)
             if cost is not None:
                 costs = cost(chosen)
-        if not live.any():
-            break
-        triggers: list[float] = []
+        bound = INF
         if cost is not None:
-            full = agent_eps.all(axis=1)
             eligible = _eligible_pairs(pairs, is_chosen, k - len(chosen))
-            triggers += _least_finite(costs[full])
-            triggers += _least_finite(_kth_costs(pair_costs[eligible], full, thr))
-        if dist is not None and lam > 0.0:
-            near = dist[chosen][:, live]
-            free = dist[~is_chosen]
-            for t in _least_finite(near) + _least_finite(_kth_costs(free, live, thr)):
-                triggers.append(_bump_until(t, lam))
-        if not triggers:
-            if dist is None:
-                events.append(TraceEvent(radius=INF, agents=_ids(agent_eps.all(axis=1))))
-            else:
-                events.append(TraceEvent(radius=INF, endpoints=_ids(live)))
-            break
-        # A retirement trigger can sit at or below r after openings; revisit.
-        r = max(r, min(triggers))
+            bound = float(pair_key[eligible].min(initial=INF))
+        if dist is not None:
+            bound = min(bound, float(_bump_until(stop_key[~is_chosen].min(initial=INF), lam)))
     return chosen, RunTrace(tuple(events))
 
 

@@ -307,9 +307,11 @@ def _parse_transit(text: str) -> tuple[str, float, str]:
         try:
             factor = float(text.split(":", 1)[1])
         except ValueError:
-            raise _CliError(f"bad transit factor in {text!r}")
+            raise _CliError(f"bad --transit factor in {text!r}")
+        if not (math.isfinite(factor) and factor >= 0.0):
+            raise _CliError(f"--transit factor must be finite and >= 0, got {text!r}")
         return "scaled", factor, repr(factor)
-    raise _CliError(f"transit must be null, random or scaled:<factor>, got {text!r}")
+    raise _CliError(f"--transit must be null, random or scaled:<factor>, got {text!r}")
 
 
 def _alg_name(alg: str, lam: float | None) -> str:

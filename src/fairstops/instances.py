@@ -521,6 +521,8 @@ def random_euclidean(
         raise ValueError(f"need n, m >= 1 and 1 <= k <= m, got n={n} m={m} k={k}")
     if transit not in TRANSIT_MODES:
         raise ValueError(f"transit must be one of {TRANSIT_MODES}, got {transit!r}")
+    if not (math.isfinite(factor) and factor >= 0.0):
+        raise ValueError(f"factor must be finite and >= 0, got {factor}")
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, 1.0, size=(2 * n + m, 2))
     diff = pts[:, None, :] - pts[None, :, :]

@@ -28,23 +28,19 @@ def corpus_sizes(seed: int) -> tuple[int, int, int]:
     return n, m, k
 
 
-@st.composite
-def grid_instances(draw):
-    """Small instances on a 4 x 4 integer grid under L1 walking distances, so
-    that distances, route costs and order statistics tie often."""
-    n = draw(st.integers(1, 12))
-    m = draw(st.integers(2, 7))
-    k = draw(st.integers(1, m))
-    cells = st.tuples(st.integers(0, 3), st.integers(0, 3))
-    xy = np.array(draw(st.lists(cells, min_size=2 * n + m, max_size=2 * n + m)), dtype=float)
+def grid_instance(xy, m: int, k: int, ride=None) -> fs.Instance:
+    """The 2n endpoints and then m candidates at grid points ``xy`` under L1
+    walking distances.  ``ride`` holds integer ride lengths (its upper
+    triangle is used), closed under shortest paths into the transit metric;
+    None makes rides free."""
+    xy = np.asarray(xy, dtype=float)
+    n = (len(xy) - m) // 2
     walk = np.abs(xy[:, None, :] - xy[None, :, :]).sum(axis=2)
-    if draw(st.booleans()):
+    if ride is None:
         transit = np.zeros((m, m))
     else:
-        # Random integer ride lengths, closed under shortest paths into a metric.
-        upper = np.array(draw(st.lists(st.integers(0, 4), min_size=m * m, max_size=m * m)),
-                         dtype=float).reshape(m, m)
-        transit = np.triu(upper, 1) + np.triu(upper, 1).T
+        upper = np.triu(np.asarray(ride, dtype=float).reshape(m, m), 1)
+        transit = upper + upper.T
         for mid in range(m):
             transit = np.minimum(transit, transit[:, [mid]] + transit[[mid], :])
     return fs.Instance(
@@ -54,6 +50,21 @@ def grid_instances(draw):
         transit=fs.Metric(transit),
         k=k,
     )
+
+
+@st.composite
+def grid_instances(draw):
+    """Small instances on a 4 x 4 integer grid under L1 walking distances, so
+    that distances, route costs and order statistics tie often."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(2, 7))
+    k = draw(st.integers(1, m))
+    cells = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    xy = draw(st.lists(cells, min_size=2 * n + m, max_size=2 * n + m))
+    ride = None
+    if not draw(st.booleans()):
+        ride = draw(st.lists(st.integers(0, 4), min_size=m * m, max_size=m * m))
+    return grid_instance(xy, m, k, ride)
 
 
 @pytest.fixture(scope="session")

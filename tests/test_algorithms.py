@@ -2,13 +2,14 @@
 
 import concurrent.futures
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 import fairstops as fs
-from conftest import grid_instances
+from conftest import grid_instance, grid_instances
 from oracles import brute_jr_factor, eca_loop, gc_trsp_radius_pass, hybrid_loop
 
 SQRT2 = math.sqrt(2.0)
@@ -327,6 +328,43 @@ def test_sweeps_match_loop_oracles_on_families():
 @given(grid_instances())
 def test_sweeps_match_loop_oracles_under_ties(inst):
     assert_sweeps_match_loops(inst, "grid")
+
+
+# The corpora and the tie grid are too small for a sweep to retire many
+# members between two openings; these instances are not.
+@pytest.mark.parametrize("n, m, k, transit", [
+    (60, 12, 4, "null"), (80, 14, 5, "random"), (100, 16, 6, "null"), (120, 12, 4, "random"),
+])
+def test_sweeps_match_loop_oracles_on_long_retirement_runs(n, m, k, transit):
+    assert_sweeps_match_loops(fs.random_euclidean(n, m, k, n, transit=transit), n)
+
+
+def test_sweeps_match_loop_oracles_under_ties_in_long_runs():
+    # Many agents on few grid points, so agents and endpoints fall due at one
+    # radius inside a run of retirements.
+    rng = np.random.default_rng(8)
+    for case in range(24):
+        n, m = int(rng.integers(10, 41)), int(rng.integers(2, 8))
+        k = int(rng.integers(1, m + 1))
+        ride = rng.integers(0, 5, size=(m, m)) if case % 2 else None
+        inst = grid_instance(rng.integers(0, 4, size=(2 * n + m, 2)), m, k, ride)
+        assert_sweeps_match_loops(inst, ("grid", case))
+
+
+@pytest.mark.parametrize("run", [fs.eca, lambda inst: fs.hybrid(inst, 0.5)], ids=["eca", "hybrid"])
+def test_sweep_time_is_not_quadratic_in_agents(run):
+    # On a 2-vCPU VM, a sweep that re-scanned every unit at every retirement
+    # took 22 s (eca) and 12 s (hybrid) of CPU on this instance; batched,
+    # about 0.2 s.
+    inst = fs.random_euclidean(1000, 60, 8, 0)
+    start = time.process_time()
+    _, trace = run(inst)
+    assert time.process_time() - start < 5.0
+    retired = [e for ev in trace.events for i in ev.agents for e in (2 * i, 2 * i + 1)]
+    retired += [e for ev in trace.events for e in ev.endpoints]
+    assert sorted(retired) == list(range(2 * inst.n))
+    radii = trace.radii()
+    assert all(a <= b for a, b in zip(radii, radii[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -350,6 +350,16 @@ def test_experiment_bad_args_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("factor", ["nan", "inf", "-1"])
+def test_experiment_bad_transit_factor_exit_2(tmp_path, capsys, factor):
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(
+        capsys, "experiment", "--out", str(out), "--transit", f"scaled:{factor}"
+    )
+    assert code == 2 and "--transit" in err
+    assert not out.exists()
+
+
 def test_experiment_raises_unexpected_errors(tmp_path, monkeypatch):
     # Only the enumeration guard becomes an "error" cell; a bug propagates.
     def broken(*args, **kwargs):

@@ -263,6 +263,12 @@ def test_random_euclidean_null_flag_and_modes():
         fs.random_euclidean(4, 2, 3, seed=1)
 
 
+@pytest.mark.parametrize("factor", [math.nan, math.inf, -1.0])
+def test_random_euclidean_rejects_bad_factor(factor):
+    with pytest.raises(ValueError, match="factor"):
+        fs.random_euclidean(4, 4, 2, seed=1, transit="scaled", factor=factor)
+
+
 def test_random_metric_transit_valid_on_100_seeds():
     for seed in range(100):
         inst = fs.random_euclidean(3, 4, 2, seed, transit="random")
