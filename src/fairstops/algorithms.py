@@ -53,6 +53,8 @@ from .model import (
     require_valid_structure,
     route_costs,
     solution_costs,
+    stop_set_table,
+    stop_sets,
 )
 
 
@@ -126,11 +128,6 @@ def _open(unit, chosen: list[int], is_chosen: np.ndarray) -> tuple[int, ...]:
     return extra
 
 
-def _pairs(m: int) -> np.ndarray:
-    """All unordered candidate pairs, in lexicographic order, as rows."""
-    return np.array(list(itertools.combinations(range(m), 2)), dtype=int).reshape(-1, 2)
-
-
 def _eligible_pairs(pairs: np.ndarray, is_chosen: np.ndarray, room: int) -> np.ndarray:
     """Pairs that add at least one stop and fit in ``room`` more stops."""
     new = np.count_nonzero(~is_chosen[pairs], axis=1)
@@ -188,8 +185,7 @@ def _sweep(m: int, k: int, members: int, dist: np.ndarray | None = None, lam: fl
     r = bound = 0.0
     if cost is not None:
         agent_eps = live.reshape(-1, 2)  # view: row i is agent i's two endpoints
-        pairs = _pairs(m)
-        pair_costs = cost(pairs)
+        pairs, pair_costs = stop_set_table(m, 2, members // 2, cost)
         pair_key = _kth(pair_costs, thr)
         costs = cost(chosen)
     if dist is not None:
@@ -289,7 +285,6 @@ def gc_trsp(instance: Instance) -> tuple[Solution, RunTrace]:
     ``ceil(2n/k)`` active endpoints open.  This is :func:`greedy_capture` on
     the induced clustering instance, whose datapoints are the 2n endpoints.
     """
-    require_valid_structure(instance)
     chosen, trace = greedy_capture(induce_clustering(instance))
     return Solution.of(chosen), trace
 
@@ -501,18 +496,18 @@ def exact_min_cost(instance: Instance, max_subsets: int = 1_000_000) -> tuple[So
     ``max_subsets`` subsets.
     """
     require_valid_structure(instance)
-    m = instance.m
-    kk = min(instance.k, m)
-    count = sum(math.comb(m, j) for j in range(kk + 1))
+    m, k = instance.m, instance.k
+    count = sum(math.comb(m, j) for j in range(k + 1))
     if count > max_subsets:
         raise EnumerationGuardError(
             f"{count} subsets exceed the max_subsets guard of {max_subsets}"
         )
-    best_cost = INF
-    best_stops: tuple[int, ...] = ()
-    for size in range(kk + 1):
-        for stops in itertools.combinations(range(m), size):
-            cost = float(solution_costs(instance, stops).sum())
-            if cost < best_cost:
-                best_cost, best_stops = cost, stops
+    best_cost, best_stops = INF, ()
+    for size in range(k + 1):
+        for block in stop_sets(m, size, instance.n):
+            # fmin makes a NaN total INF, so, as in a loop of `<` tests, it never wins.
+            totals = np.fmin(solution_costs(instance, block).sum(axis=1), INF)
+            j = int(np.argmin(totals))
+            if totals[j] < best_cost:
+                best_cost, best_stops = float(totals[j]), block[j]
     return Solution(best_stops), best_cost

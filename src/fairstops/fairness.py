@@ -42,7 +42,6 @@ so importing the package and every other check leave scipy unloaded.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,8 +54,10 @@ from .model import (
     RTOL,
     ClusteringInstance,
     Instance,
-    as_stops,
+    require_valid_structure,
     solution_costs,
+    stop_set_table,
+    stop_sets,
 )
 
 #: Default cap on the candidate count for exhaustive core enumeration.
@@ -64,9 +65,6 @@ CORE_GUARD_M = 24
 
 #: Environment variable overriding :data:`CORE_GUARD_M`.
 CORE_GUARD_ENV = "FAIRSTOPS_CORE_GUARD_M"
-
-#: Floats one block of targets may take in its cost kernel (8 MB).
-BLOCK_FLOATS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -117,18 +115,12 @@ def _check_factor(value: float, name: str) -> float:
 def _targets(instance: Instance, needs: dict[int, int]):
     """Blocks ``(targets, costs, need)`` of every stop set whose size is a key
     of ``needs``, in the dict's order of sizes and then lexicographic order:
-    a ``(targets, size)`` index array and its ``(targets, agents)`` cost table.  Sizes
+    a ``stop_sets`` block and its ``(targets, agents)`` cost table.  Sizes
     whose ``need`` is not in ``[1, n]`` admit no coalition and are skipped."""
-    n = instance.n
     for size, need in needs.items():
-        if not 0 < need <= n:
-            continue
-        # The kernel's intermediate is (agents, targets, size, size) floats.
-        per_block = max(1, BLOCK_FLOATS // (n * size * size))
-        combos = itertools.combinations(range(instance.m), size)
-        while chunk := list(itertools.islice(combos, per_block)):
-            targets = np.array(chunk, dtype=int)
-            yield targets, solution_costs(instance, targets), need
+        if 0 < need <= instance.n:
+            for targets in stop_sets(instance.m, size, instance.n):
+                yield targets, solution_costs(instance, targets), need
 
 
 def _search(cy: np.ndarray, blocks, beta: float | None = None) -> Witness | None:
@@ -166,13 +158,8 @@ def _report(prop: str, alpha: Fraction | None, witness: Witness | None) -> Fairn
 
 def _pair_ratios(instance: Instance, cy: np.ndarray):
     """Every stop pair in lexicographic order, and its ``(pairs, agents)`` ratios."""
-    blocks = list(_targets(instance, {2: 1}))
-    if not blocks:
-        return np.empty((0, 2), dtype=int), np.empty((0, instance.n))
-    return (
-        np.concatenate([targets for targets, _, _ in blocks]),
-        np.concatenate([_ratios(cy, costs) for _, costs, _ in blocks]),
-    )
+    return stop_set_table(instance.m, 2, instance.n,
+                          lambda pairs: _ratios(cy, solution_costs(instance, pairs)))
 
 
 def _core_guard_limit() -> int:
@@ -201,13 +188,15 @@ def improving_pairs(instance: Instance, agent_index: int, solution, beta: float 
     _check_factor(beta, "beta")
     if not 0 <= agent_index < instance.n:
         raise IndexError(f"agent index {agent_index} out of range for n={instance.n}")
-    cy = solution_costs(instance, as_stops(solution))
+    require_valid_structure(instance)
+    cy = solution_costs(instance, solution)
     pairs, ratios = _pair_ratios(instance, cy)
     return [tuple(pair) for pair in pairs[_reaches(ratios[:, agent_index], beta)].tolist()]
 
 
 def _jr(instance: Instance, solution, beta: float | None) -> Witness | None:
-    cy = solution_costs(instance, as_stops(solution))
+    require_valid_structure(instance)
+    cy = solution_costs(instance, solution)
     needs = {2: coverage_threshold(instance.n, instance.k)}
     return _search(cy, _targets(instance, needs), beta)
 
@@ -277,13 +266,14 @@ def _core(instance: Instance, solution, alpha, beta: float | None, backend: str)
     alpha = _as_alpha(alpha)
     if backend not in ("enumerate", "milp"):
         raise ValueError(f"unknown backend {backend!r}")
+    require_valid_structure(instance)
     n, m, k = instance.n, instance.m, instance.k
     if backend == "enumerate" and m > _core_guard_limit():
         raise EnumerationGuardError(
             f"core enumeration over m={m} candidates exceeds the guard "
             f"({_core_guard_limit()}); set {CORE_GUARD_ENV} to raise it"
         )
-    cy = solution_costs(instance, as_stops(solution))
+    cy = solution_costs(instance, solution)
     if backend == "milp":
         return _core_milp(instance, cy, alpha, beta)
     p, q = alpha.numerator, alpha.denominator
@@ -323,52 +313,35 @@ def _core_violation_milp(
     # Single-stop targets are left out: walking is a metric (validate_instance
     # checks its triangle inequality), so a route boarding and alighting at
     # one stop never beats the direct walk, and no agent improves on one stop.
-    per_agent = [np.flatnonzero(reach[:, i]).tolist() for i in range(n)]
-    used_pairs = np.flatnonzero(reach.any(axis=1)).tolist()
-    if not used_pairs:
+    used = np.flatnonzero(reach.any(axis=1))
+    if not used.size:
         return None
-    pair_col = {pid: m + n + j for j, pid in enumerate(used_pairs)}
-    # Variables: x_i (agents), s_c (stops), y_pid (pairs actually improving someone).
-    nvar = n + m + len(used_pairs)
-    cost = np.zeros(nvar)
-    cost[:n] = -1.0
-    rows, lo, hi = [], [], []
-
-    def add_row(coeffs: dict[int, float], ub: float):
-        row = np.zeros(nvar)
-        for j, v in coeffs.items():
-            row[j] = v
-        rows.append(row)
-        lo.append(-np.inf)
-        hi.append(ub)
-
-    upper = np.ones(nvar)
-    for i in range(n):
-        if per_agent[i]:
-            add_row({i: 1.0, **{pair_col[pid]: -1.0 for pid in per_agent[i]}}, 0.0)
-        else:
-            upper[i] = 0.0
-    for pid in used_pairs:
-        a, b = pairs[pid]
-        add_row({pair_col[pid]: 1.0, n + a: -1.0}, 0.0)
-        add_row({pair_col[pid]: 1.0, n + b: -1.0}, 0.0)
-    add_row(
-        {**{n + c: float(p * n) for c in range(m)}, **{i: float(-k * q) for i in range(n)}},
-        0.0,
-    )
+    served = reach.any(axis=0)
+    # Variables: x_i (agents), s_c (stops), y_j (pairs actually improving
+    # someone).  Rows, each at most 0: x_i <= the sum of the y_j reaching
+    # agent i, for every agent some pair reaches; y_j <= s_a and y_j <= s_b
+    # for pair j = (a, b); and the size rule p * n * |T| <= k * q * |S|.
+    u, s = len(used), np.count_nonzero(served)
+    rows = np.block([
+        [np.eye(n)[served], np.zeros((s, m)), np.where(reach[np.ix_(used, served)].T, -1.0, 0.0)],
+        [np.zeros((2 * u, n)), 0.0 - np.eye(m)[pairs[used].ravel()],
+         np.repeat(np.eye(u), 2, axis=0)],
+        [np.full((1, n), -k * q), np.full((1, m), p * n), np.zeros((1, u))],
+    ])
+    cost = np.concatenate([np.full(n, -1.0), np.zeros(m + u)])
+    upper = np.concatenate([served, np.ones(m + u)])
     res = milp(
         c=cost,
-        constraints=(np.array(rows), lo, hi),
-        integrality=np.ones(nvar),
-        bounds=(np.zeros(nvar), upper),
+        constraints=(rows, np.full(len(rows), -np.inf), np.zeros(len(rows))),
+        integrality=np.ones(n + m + u),
+        bounds=(np.zeros(n + m + u), upper),
     )
     if res.status != 0 or res.x is None:
         raise RuntimeError(f"core MILP did not solve: {res.message}")
     if -res.fun < 0.5:
         return None
-    x = res.x
-    coalition = tuple(i for i in range(n) if x[i] > 0.5)
-    target = np.array([[c for c in range(m) if x[n + c] > 0.5]])
+    coalition = tuple(np.flatnonzero(res.x[:n] > 0.5).tolist())
+    target = np.flatnonzero(res.x[n:n + m] > 0.5)[None, :]
     need = -(-p * target.shape[1] * n // (k * q))
     blocked = _search(cy, [(target, solution_costs(instance, target), need)])
     return Witness(coalition, tuple(target[0].tolist()), blocked.factor)
@@ -379,12 +352,12 @@ def _core_milp(instance, cy, alpha: Fraction, beta: float | None):
     a search over the finite ladder of realizable pair ratios (every
     blockable factor is one of them)."""
     pairs, ratios = _pair_ratios(instance, cy)
-    if beta is not None:
-        return _core_violation_milp(instance, cy, alpha, pairs, _reaches(ratios, beta))
 
     def probe(rung: float) -> Witness | None:
         return _core_violation_milp(instance, cy, alpha, pairs, _reaches(ratios, rung))
 
+    if beta is not None:
+        return probe(beta)
     ladder = np.unique(ratios[ratios > 1.0]).tolist()
     # Violations exist on a prefix of the ascending ladder; find its last rung.
     # The lowest rung goes first, so a fair placement costs one solve.

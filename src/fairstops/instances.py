@@ -637,6 +637,12 @@ def _encode_tri(d: np.ndarray) -> list:
     return out
 
 
+def _int(value, fieldname: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InstanceParseError(f"field '{fieldname}' must hold integers, got {value!r}")
+    return value
+
+
 def _decode_tri(values, size: int, fieldname: str) -> np.ndarray:
     expected = size * (size + 1) // 2
     if not isinstance(values, list) or len(values) != expected:
@@ -649,12 +655,12 @@ def _decode_tri(values, size: int, fieldname: str) -> np.ndarray:
     for i in range(size):
         for j in range(i + 1):
             v = next(it)
-            if isinstance(v, str):
-                if v.lower() not in ("inf", "infinity", "+inf"):
-                    raise InstanceParseError(f"field '{fieldname}': bad entry {v!r}")
+            if isinstance(v, str) and v.lower() in ("inf", "infinity", "+inf"):
                 x = INF
-            else:
+            elif isinstance(v, (int, float)) and not isinstance(v, bool) and not math.isnan(v):
                 x = float(v)
+            else:
+                raise InstanceParseError(f"field '{fieldname}': bad entry {v!r}")
             d[i, j] = d[j, i] = x
     return d
 
@@ -697,16 +703,20 @@ def read_instance(path) -> Instance:
     for fieldname in ("n", "m", "k", "points", "endpoints", "candidates", "walk", "transit"):
         if fieldname not in doc:
             raise InstanceParseError(f"{path}: missing field '{fieldname}'")
-    n, m, k, p = (int(doc[key]) for key in ("n", "m", "k", "points"))
+    n, m, k, p = (_int(doc[key], key) for key in ("n", "m", "k", "points"))
     endpoints = doc["endpoints"]
     if not isinstance(endpoints, list) or len(endpoints) != n:
         raise InstanceParseError(f"{path}: field 'endpoints' must list {n} pairs")
     for row in endpoints:
         if not isinstance(row, list) or len(row) != 2:
             raise InstanceParseError(f"{path}: field 'endpoints' entries must be pairs")
+        for v in row:
+            _int(v, "endpoints")
     candidates = doc["candidates"]
     if not isinstance(candidates, list) or len(candidates) != m:
         raise InstanceParseError(f"{path}: field 'candidates' must list {m} indices")
+    for c in candidates:
+        _int(c, "candidates")
     walk = _decode_tri(doc["walk"], p, "walk")
     transit = _decode_tri(doc["transit"], m, "transit")
     labels = doc.get("labels")

@@ -16,6 +16,7 @@ made of two mirrored copies at infinite separation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -27,6 +28,9 @@ INF = math.inf
 #: Relative slack of every floating-point comparison in this package: a value
 #: within this fraction of a bound is taken to meet it.
 RTOL = 1e-12
+
+#: Floats one block of :func:`stop_sets` may take in the route-cost kernel (8 MB).
+BLOCK_FLOATS = 1 << 20
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -325,33 +329,49 @@ def route_costs(instance: Instance, solution) -> np.ndarray:
 
     ``solution`` is one placement, giving one cost per agent, or a 2-D
     integer array of units (one equal-size stop set per row), giving a
-    ``(units, agents)`` table whose rows equal the per-placement vectors
-    bit for bit.  Infinite for every agent when the placement is empty.
-    This is the service level a placement itself provides;
-    :func:`solution_costs` caps it by the walk.
+    ``(units, agents)`` table.  A placement is evaluated as a one-row unit
+    array, so its vector is the table's row bit for bit.  Infinite for every
+    agent when the placement is empty.  This is the service level a
+    placement itself provides; :func:`solution_costs` caps it by the walk.
     """
-    if isinstance(solution, np.ndarray) and solution.ndim == 2:
-        idx = solution
-    else:
-        stops = as_stops(solution)
-        if not stops:
-            return np.full(instance.n, INF)
-        idx = np.array(stops)
-    # Shapes below are (agents, [units,] stops[, stops]); the sum keeps the
-    # order (walk in + ride) + walk out of every route.
-    da = instance._d_ac[:, idx]
-    db = instance._d_bc[:, idx]
+    table = isinstance(solution, np.ndarray) and solution.ndim == 2
+    units = solution if table else np.array([as_stops(solution)], dtype=int)
+    # Shapes below are (agents, units, stops[, stops]); the sum keeps the
+    # order (walk in + ride) + walk out of every route.  An empty stop set
+    # leaves each minimum at its initial INF.
+    da = instance._d_ac[:, units]
+    db = instance._d_bc[:, units]
     if instance.null_transit:
-        best = da.min(axis=-1) + db.min(axis=-1)
+        best = da.min(axis=-1, initial=INF) + db.min(axis=-1, initial=INF)
     else:
-        ride = instance.transit.dist[idx[..., :, None], idx[..., None, :]]
-        best = (da[..., :, None] + ride + db[..., None, :]).min(axis=(-2, -1))
-    return np.ascontiguousarray(best.T)
+        ride = instance.transit.dist[units[..., :, None], units[..., None, :]]
+        best = (da[..., :, None] + ride + db[..., None, :]).min(axis=(-2, -1), initial=INF)
+    best = np.ascontiguousarray(best.T)
+    return best if table else best[0]
 
 
 def total_cost(instance: Instance, solution) -> float:
     """Sum of agent costs; infinite as soon as one agent is stranded."""
     return float(solution_costs(instance, solution).sum())
+
+
+def stop_sets(m: int, size: int, n: int):
+    """Every ``size``-subset of the ``m`` candidates, in lexicographic order,
+    as ``(sets, size)`` index arrays in blocks whose :func:`route_costs`
+    intermediate for ``n`` agents stays within :data:`BLOCK_FLOATS`."""
+    per_block = max(1, BLOCK_FLOATS // max(1, n * size * size))
+    combos = itertools.combinations(range(m), size)
+    while chunk := list(itertools.islice(combos, per_block)):
+        yield np.array(chunk, dtype=int).reshape(len(chunk), size)
+
+
+def stop_set_table(m: int, size: int, n: int, kernel) -> tuple[np.ndarray, np.ndarray]:
+    """Every ``size``-subset of the ``m`` candidates as one ``(sets, size)``
+    array, and the ``(sets, n)`` table ``kernel`` gives them, one
+    :func:`stop_sets` block at a time."""
+    blocks = list(stop_sets(m, size, n))
+    return (np.concatenate([np.empty((0, size), dtype=int), *blocks]),
+            np.concatenate([np.empty((0, n)), *map(kernel, blocks)]))
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +428,7 @@ def require_valid_structure(instance: Instance) -> None:
 
 def induce_clustering(instance: Instance) -> ClusteringInstance:
     """Reinterpret all 2n agent endpoints as datapoints; keep centers and budget."""
+    require_valid_structure(instance)
     return ClusteringInstance(
         datapoints=instance.endpoint_points,
         centers=instance.candidates,

@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -65,6 +66,47 @@ def grid_instances(draw):
     if not draw(st.booleans()):
         ride = draw(st.lists(st.integers(0, 4), min_size=m * m, max_size=m * m))
     return grid_instance(xy, m, k, ride)
+
+
+#: Values an instance file must not carry: (field, index or None, value).
+#: Each must fail to read with an error naming the field.
+BAD_FIELD_VALUES = [
+    pytest.param("n", None, "abc", id="n-str"),
+    pytest.param("k", None, 1.7, id="k-float"),
+    pytest.param("k", None, True, id="k-bool"),
+    pytest.param("walk", 1, [0.5], id="walk-list"),
+    pytest.param("walk", 1, float("nan"), id="walk-nan"),
+    pytest.param("transit", 0, None, id="transit-null"),
+    pytest.param("endpoints", 0, [0, "1"], id="endpoints-str"),
+    pytest.param("endpoints", 0, [0, 1.0], id="endpoints-float"),
+    pytest.param("candidates", 0, "8", id="candidates-str"),
+]
+
+
+def write_bad_field_value(path, field, index, value) -> None:
+    """Write ``random_euclidean(4, 4, 2, 0)`` to ``path`` with one value replaced."""
+    fs.write_instance(fs.random_euclidean(4, 4, 2, 0), path)
+    doc = json.loads(path.read_text())
+    if index is None:
+        doc[field] = value
+    else:
+        doc[field][index] = value
+    path.write_text(json.dumps(doc))
+
+
+def family_instances():
+    """Every named family at default parameters, clustering families embedded,
+    plus the tight families at the parameters the acceptance tests use."""
+    out = []
+    for name in sorted(fs.FAMILIES):
+        inst = fs.generate(name)
+        if isinstance(inst, fs.LineClusteringInstance):
+            inst = fs.clustering_to_trsp(fs.line_to_clustering(inst))
+        out.append((name, inst))
+    for lam in (0.25, 0.5, 1.0):
+        for name in ("hybrid-jr-tight", "hybrid-core-tight"):
+            out.append((f"{name} lam={lam}", fs.generate(name, lam=lam, eps=0.01)))
+    return out
 
 
 @pytest.fixture(scope="session")

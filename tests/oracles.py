@@ -10,6 +10,8 @@ The sweep references at the end are the library's earlier loop forms of
 ``hybrid`` (Python scans over pairs and agents at every trigger).  They
 share only the cost kernel with the library, which ``naive_agent_cost``
 checks on its own; the array sweeps must match them event for event.
+``exact_min_cost_loop`` is likewise the earlier one-call-per-subset form of
+``exact_min_cost``.
 """
 
 from __future__ import annotations
@@ -115,6 +117,20 @@ def brute_pf_factor(clustering, centers) -> float:
         for group in itertools.combinations(range(n), thr):
             best = max(best, min(_ratio(dP[i], float(d[i, c])) for i in group))
     return best
+
+
+def exact_min_cost_loop(instance) -> tuple[Solution, float]:
+    """Minimum total cost over every stop set of size <= k, one
+    ``solution_costs`` call per set; ties prefer fewer stops, then the
+    lexicographically smallest set."""
+    require_valid_structure(instance)
+    best_cost, best_stops = INF, ()
+    for size in range(min(instance.k, instance.m) + 1):
+        for stops in itertools.combinations(range(instance.m), size):
+            cost = float(solution_costs(instance, stops).sum())
+            if cost < best_cost:
+                best_cost, best_stops = cost, stops
+    return Solution(best_stops), best_cost
 
 
 # ---------------------------------------------------------------------------

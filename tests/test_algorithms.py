@@ -9,8 +9,14 @@ import pytest
 from hypothesis import given, settings
 
 import fairstops as fs
-from conftest import grid_instance, grid_instances
-from oracles import brute_jr_factor, eca_loop, gc_trsp_radius_pass, hybrid_loop
+from conftest import family_instances, grid_instance, grid_instances
+from oracles import (
+    brute_jr_factor,
+    eca_loop,
+    exact_min_cost_loop,
+    gc_trsp_radius_pass,
+    hybrid_loop,
+)
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
@@ -298,21 +304,6 @@ def assert_sweeps_match_loops(inst, where):
         assert all(type(ev.radius) is float for ev in trace.events), (where, label)
 
 
-def family_instances():
-    """Every named family at default parameters, clustering families embedded,
-    plus the tight families at the parameters the acceptance tests use."""
-    out = []
-    for name in sorted(fs.FAMILIES):
-        inst = fs.generate(name)
-        if isinstance(inst, fs.LineClusteringInstance):
-            inst = fs.clustering_to_trsp(fs.line_to_clustering(inst))
-        out.append((name, inst))
-    for lam in (0.25, 0.5, 1.0):
-        for name in ("hybrid-jr-tight", "hybrid-core-tight"):
-            out.append((f"{name} lam={lam}", fs.generate(name, lam=lam, eps=0.01)))
-    return out
-
-
 @pytest.mark.parametrize("fixture", ["corpus", "corpus_random_transit"])
 def test_sweeps_match_loop_oracles_on_corpus(fixture, request):
     for seed, inst in enumerate(request.getfixturevalue(fixture)):
@@ -467,3 +458,26 @@ def test_exact_min_cost_guard():
     inst = fs.random_euclidean(3, 10, 5, seed=0)
     with pytest.raises(fs.EnumerationGuardError):
         fs.exact_min_cost(inst, max_subsets=10)
+
+
+def assert_min_cost_matches_loop(inst, label):
+    (sol, cost), (ref_sol, ref_cost) = fs.exact_min_cost(inst), exact_min_cost_loop(inst)
+    assert sol == ref_sol, label
+    assert cost.hex() == ref_cost.hex(), label
+
+
+@pytest.mark.parametrize("fixture", ["corpus", "corpus_random_transit"])
+def test_exact_min_cost_matches_loop_oracle_on_corpus(fixture, request):
+    for seed, inst in enumerate(request.getfixturevalue(fixture)):
+        assert_min_cost_matches_loop(inst, seed)
+
+
+def test_exact_min_cost_matches_loop_oracle_on_families():
+    for name, inst in family_instances():
+        assert_min_cost_matches_loop(inst, name)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(grid_instances())
+def test_exact_min_cost_matches_loop_oracle_under_ties(inst):
+    assert_min_cost_matches_loop(inst, "grid")

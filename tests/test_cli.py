@@ -7,6 +7,7 @@ import math
 import pytest
 
 import fairstops as fs
+from conftest import BAD_FIELD_VALUES, write_bad_field_value
 from fairstops.cli import main
 
 
@@ -143,6 +144,16 @@ def test_structurally_bad_instance_exits_2(tmp_path, capsys, command, field):
     code, stdout, err = run_cli(capsys, *argv)
     assert code == 2 and stdout == ""
     assert ("k=" if field == "k" else "endpoint index") in err
+
+
+@pytest.mark.parametrize("field, index, value", BAD_FIELD_VALUES)
+def test_unreadable_value_exits_2(tmp_path, capsys, field, index, value):
+    path = tmp_path / "bad.json"
+    write_bad_field_value(path, field, index, value)
+    code, stdout, err = run_cli(capsys, "verify", "--instance", str(path), "--solution", "0",
+                                "--prop", "jr")
+    assert code == 2 and stdout == ""
+    assert f"'{field}'" in err
 
 
 # ---------------------------------------------------------------------------

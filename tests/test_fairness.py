@@ -333,6 +333,30 @@ def test_verifiers_reject_nan_factor(table5):
             call()
 
 
+@pytest.mark.parametrize("field", ["k", "endpoint"])
+def test_verifiers_reject_structurally_invalid_instances(field):
+    # Built directly, the instance's cost tables read clipped indices, so
+    # without the guard the verifiers answered on a different instance.
+    base = fs.random_euclidean(4, 4, 2, 0)
+    endpoints = base.endpoints.copy()
+    if field == "endpoint":
+        endpoints[0, 1] = 999
+    inst = fs.Instance(endpoints=endpoints, candidates=base.candidates, walk=base.walk,
+                       transit=base.transit, k=9 if field == "k" else base.k)
+    sol = (0, 1)
+    for call in (
+        lambda: fs.jr_ratio(inst, sol),
+        lambda: fs.jr_violation(inst, sol),
+        lambda: fs.core_ratio(inst, sol, 2),
+        lambda: fs.core_ratio(inst, sol, 2, backend="milp"),
+        lambda: fs.core_violation(inst, sol, 2),
+        lambda: fs.improving_pairs(inst, 0, sol),
+        lambda: fs.induce_clustering(inst),
+    ):
+        with pytest.raises(ValueError, match="k=9" if field == "k" else "endpoint index"):
+            call()
+
+
 def scaled(inst, factor):
     return fs.Instance(
         endpoints=inst.endpoints,

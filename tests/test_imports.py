@@ -1,9 +1,11 @@
-"""scipy is loaded by the core MILP backend only.
+"""What importing loads, and which names a traced benchmark run wraps.
 
-Each check runs in a fresh interpreter, so modules imported by other tests
-cannot hide an import; it counts modules, not time.
+scipy is loaded by the core MILP backend only.  That check runs in a fresh
+interpreter, so modules imported by other tests cannot hide an import; it
+counts modules, not time.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -72,3 +74,15 @@ def test_scipy_loads_only_for_the_core_milp(tmp_path):
     assert all(modules == [] for modules in loaded.values()), loaded
     assert "scipy.optimize" in milp_step
     assert result["milp"] == result["enumerate"] > 1.0
+
+
+def test_traced_names_resolve():
+    # A traced benchmark run wraps these names where they are looked up; a
+    # kernel call moved to another module would silently drop out of it.
+    spec = importlib.util.spec_from_file_location("layers", ROOT / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    for _stem, attr, owners in layers.WRAPPED:
+        for owner in owners:
+            module = importlib.import_module(f"fairstops.{owner}" if owner else "fairstops")
+            assert callable(getattr(module, attr, None)), (attr, owner)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fairstops as fs
+from conftest import BAD_FIELD_VALUES, write_bad_field_value
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -345,4 +346,12 @@ def test_wrong_triangle_length_reports_field(tmp_path):
     doc["walk"] = doc["walk"][:-1]
     path.write_text(json.dumps(doc))
     with pytest.raises(fs.InstanceParseError, match="walk"):
+        fs.read_instance(path)
+
+
+@pytest.mark.parametrize("field, index, value", BAD_FIELD_VALUES)
+def test_bad_value_reports_field(tmp_path, field, index, value):
+    path = tmp_path / "a.json"
+    write_bad_field_value(path, field, index, value)
+    with pytest.raises(fs.InstanceParseError, match=f"'{field}'"):
         fs.read_instance(path)

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import fairstops as fs
+from conftest import family_instances
+from fairstops import model
 from oracles import naive_agent_cost
 
 SQRT2 = math.sqrt(2.0)
@@ -186,6 +188,41 @@ def test_unit_tables_equal_per_placement_vectors(corpus, corpus_random_transit):
             for unit, row, capped_row in zip(units, route, capped):
                 assert row.tobytes() == fs.route_costs(inst, tuple(unit)).tobytes()
                 assert capped_row.tobytes() == fs.solution_costs(inst, tuple(unit)).tobytes()
+
+
+def test_stop_sets_list_every_subset_in_order():
+    for m, size in [(0, 0), (3, 0), (1, 2), (5, 2), (6, 3)]:
+        blocks = list(model.stop_sets(m, size, 4))
+        sets = [tuple(row) for block in blocks for row in block.tolist()]
+        assert sets == list(itertools.combinations(range(m), size))
+        assert all(block.shape[1] == size for block in blocks)
+
+
+def block_outputs(inst):
+    """Everything computed from stop-set blocks: sweeps, reports, improving
+    pairs and the exact minimum cost, as text."""
+    out = [fs.exact_min_cost(inst)]
+    for sweep in (fs.gc_trsp, fs.eca, lambda i: fs.hybrid(i, 0.5)):
+        sol, trace = sweep(inst)
+        out += [sol, trace, fs.jr_ratio(inst, sol), fs.jr_violation(inst, sol, 1.5),
+                fs.core_ratio(inst, sol, 2), fs.core_violation(inst, sol, 1),
+                fs.pf_ratio(fs.induce_clustering(inst), sol.stops)]
+        out += [fs.improving_pairs(inst, i, sol) for i in range(inst.n)]
+        if inst.m <= 8:
+            out.append(fs.core_ratio(inst, sol, 2, backend="milp"))
+    return repr(out)
+
+
+def test_one_set_blocks_change_nothing(corpus, corpus_random_transit, monkeypatch):
+    # No test instance spans two blocks at the default size; one set a block
+    # makes every search cross block boundaries.
+    cases = [(seed, inst) for seed, inst in enumerate(corpus[:15] + corpus_random_transit[:15])]
+    cases += family_instances()
+    default = [block_outputs(inst) for _, inst in cases]
+    monkeypatch.setattr(model, "BLOCK_FLOATS", 1)
+    assert max(len(block) for block in model.stop_sets(5, 2, 1)) == 1
+    for (label, inst), expected in zip(cases, default):
+        assert block_outputs(inst) == expected, label
 
 
 # ---------------------------------------------------------------------------
