@@ -50,7 +50,6 @@ from .model import (
     Solution,
     TraceEvent,
     induce_clustering,
-    require_valid_structure,
     route_costs,
     solution_costs,
     stop_set_table,
@@ -177,6 +176,8 @@ def _sweep(m: int, k: int, members: int, dist: np.ndarray | None = None, lam: fl
     leaves no event, so landing on ``bound`` after its key has risen is
     harmless.
     """
+    if cost is not None:  # before the division, so a bad instance's k = 0 raises its ValueError
+        pairs, pair_costs = stop_set_table(m, 2, members // 2, cost)
     thr = -(-members // k)
     live = np.ones(members, dtype=bool)
     chosen: list[int] = []
@@ -185,7 +186,6 @@ def _sweep(m: int, k: int, members: int, dist: np.ndarray | None = None, lam: fl
     r = bound = 0.0
     if cost is not None:
         agent_eps = live.reshape(-1, 2)  # view: row i is agent i's two endpoints
-        pairs, pair_costs = stop_set_table(m, 2, members // 2, cost)
         pair_key = _kth(pair_costs, thr)
         costs = cost(chosen)
     if dist is not None:
@@ -317,7 +317,6 @@ def eca(instance: Instance) -> tuple[Solution, RunTrace]:
     a later pair was about to serve.  Correct under arbitrary transit
     metrics.
     """
-    require_valid_structure(instance)
     chosen, trace = _sweep(instance.m, instance.k, 2 * instance.n,
                            cost=lambda units: solution_costs(instance, units))
     return Solution.of(chosen), trace
@@ -362,7 +361,6 @@ def hybrid(instance: Instance, params: HybridParams | float) -> tuple[Solution, 
     """
     if not isinstance(params, HybridParams):
         params = HybridParams(float(params))
-    require_valid_structure(instance)
     dist = np.ascontiguousarray(instance.endpoint_candidate_dists().T)
     chosen, trace = _sweep(instance.m, instance.k, 2 * instance.n, dist=dist, lam=params.lam,
                            cost=lambda units: route_costs(instance, units))
@@ -495,7 +493,6 @@ def exact_min_cost(instance: Instance, max_subsets: int = 1_000_000) -> tuple[So
     Raises :class:`EnumerationGuardError` when the enumeration would exceed
     ``max_subsets`` subsets.
     """
-    require_valid_structure(instance)
     m, k = instance.m, instance.k
     count = sum(math.comb(m, j) for j in range(k + 1))
     if count > max_subsets:

@@ -44,7 +44,16 @@ from .model import (
     validate_instance,
 )
 
-_FAMILY_PARAM_FLAGS = ("eps", "h", "gamma", "r", "lam", "delta", "ell")
+#: Every family parameter flag: name, type and help (``--lam`` is also ``--lambda``).
+_FAMILY_PARAM_FLAGS = (
+    ("eps", float, "tightness gap of the construction"),
+    ("h", float, "group-size scale"),
+    ("gamma", float, "coalition size factor (kz family)"),
+    ("r", int, "agents per edge (kz family)"),
+    ("lam", float, "hybrid mixing weight"),
+    ("delta", float, "coalition-size gap"),
+    ("ell", int, "dictator rank (line family)"),
+)
 
 USAGE_ERROR = 2
 GUARD_ERROR = 3
@@ -77,7 +86,7 @@ def _fmt(x: float) -> str:
 
 def _collect_family_params(args) -> dict:
     params = {}
-    for name in _FAMILY_PARAM_FLAGS:
+    for name, _, _ in _FAMILY_PARAM_FLAGS:
         value = getattr(args, name, None)
         if value is not None:
             params[name] = value
@@ -214,23 +223,19 @@ def _cmd_verify(args) -> int:
     beta = args.beta if args.beta is not None else 1.0
     if not beta >= 1:
         raise _CliError(f"--beta must be >= 1, got {beta}")
-    try:
-        if args.prop == "jr":
-            report = jr_ratio(instance, stops)
-            witness = jr_violation(instance, stops, beta)
-        elif args.prop == "core":
-            alpha = _parse_alpha(args.alpha)
-            report = core_ratio(instance, stops, alpha, backend=args.backend)
-            witness = core_violation(instance, stops, alpha, beta, backend=args.backend)
-        elif args.prop == "pf":
-            clustering = induce_clustering(instance)
-            report = pf_ratio(clustering, stops)
-            witness = pf_violation(clustering, stops, beta)
-        else:
-            raise _CliError(f"unknown property {args.prop!r}")
-    except EnumerationGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return GUARD_ERROR
+    if args.prop == "jr":
+        report = jr_ratio(instance, stops)
+        witness = jr_violation(instance, stops, beta)
+    elif args.prop == "core":
+        alpha = _parse_alpha(args.alpha)
+        report = core_ratio(instance, stops, alpha, backend=args.backend)
+        witness = core_violation(instance, stops, alpha, beta, backend=args.backend)
+    elif args.prop == "pf":
+        clustering = induce_clustering(instance)
+        report = pf_ratio(clustering, stops)
+        witness = pf_violation(clustering, stops, beta)
+    else:
+        raise _CliError(f"unknown property {args.prop!r}")
     if args.json:
         doc = {
             "property": report.prop,
@@ -434,13 +439,9 @@ def _cmd_experiment(args) -> int:
 
 
 def _add_family_flags(sub) -> None:
-    sub.add_argument("--eps", type=float, help="tightness gap of the construction")
-    sub.add_argument("--h", type=float, help="group-size scale")
-    sub.add_argument("--gamma", type=float, help="coalition size factor (kz family)")
-    sub.add_argument("--r", type=int, help="agents per edge (kz family)")
-    sub.add_argument("--lam", "--lambda", dest="lam", type=float, help="hybrid mixing weight")
-    sub.add_argument("--delta", type=float, help="coalition-size gap")
-    sub.add_argument("--ell", type=int, help="dictator rank (line family)")
+    for name, kind, text in _FAMILY_PARAM_FLAGS:
+        flags = (f"--{name}", "--lambda") if name == "lam" else (f"--{name}",)
+        sub.add_argument(*flags, dest=name, type=kind, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,7 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     gen = subs.add_parser("gen", help="generate a named instance family to a file")
-    gen.add_argument("--family", required=True, help=f"one of {', '.join(sorted(FAMILIES))} (aliases accepted)")
+    gen.add_argument("--family", required=True,
+                     help=f"one of {', '.join(sorted(FAMILIES))} (aliases accepted)")
     _add_family_flags(gen)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_gen)
@@ -459,7 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     run = subs.add_parser("run", help="run one algorithm on an instance file")
     run.add_argument("--instance", required=True)
     run.add_argument("--alg", required=True, choices=("gc", "eca", "hybrid"))
-    run.add_argument("--lam", "--lambda", dest="lam", type=float, help="mixing weight for --alg hybrid")
+    run.add_argument("--lam", "--lambda", dest="lam", type=float,
+                     help="mixing weight for --alg hybrid")
     run.add_argument("--trace", help="write the sweep trace to this JSON file")
     run.set_defaults(func=_cmd_run)
 
@@ -487,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--checks", default="jr")
     exp.add_argument("--alpha", default="2", help="core size factor")
     exp.add_argument("--transit", default="null", help="null | random | scaled:<factor>")
-    exp.add_argument("--timing", action="store_true", help="record wall times (breaks byte determinism)")
+    exp.add_argument("--timing", action="store_true",
+                     help="record wall times (breaks byte determinism)")
     exp.add_argument("--max-subsets", type=int, default=200_000)
     exp.set_defaults(func=_cmd_experiment)
 

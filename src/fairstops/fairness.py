@@ -54,7 +54,6 @@ from .model import (
     RTOL,
     ClusteringInstance,
     Instance,
-    require_valid_structure,
     solution_costs,
     stop_set_table,
     stop_sets,
@@ -188,14 +187,12 @@ def improving_pairs(instance: Instance, agent_index: int, solution, beta: float 
     _check_factor(beta, "beta")
     if not 0 <= agent_index < instance.n:
         raise IndexError(f"agent index {agent_index} out of range for n={instance.n}")
-    require_valid_structure(instance)
     cy = solution_costs(instance, solution)
     pairs, ratios = _pair_ratios(instance, cy)
     return [tuple(pair) for pair in pairs[_reaches(ratios[:, agent_index], beta)].tolist()]
 
 
 def _jr(instance: Instance, solution, beta: float | None) -> Witness | None:
-    require_valid_structure(instance)
     cy = solution_costs(instance, solution)
     needs = {2: coverage_threshold(instance.n, instance.k)}
     return _search(cy, _targets(instance, needs), beta)
@@ -266,7 +263,6 @@ def _core(instance: Instance, solution, alpha, beta: float | None, backend: str)
     alpha = _as_alpha(alpha)
     if backend not in ("enumerate", "milp"):
         raise ValueError(f"unknown backend {backend!r}")
-    require_valid_structure(instance)
     n, m, k = instance.n, instance.m, instance.k
     if backend == "enumerate" and m > _core_guard_limit():
         raise EnumerationGuardError(

@@ -44,13 +44,45 @@ class InstanceParseError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class _MetricBuilder:
-    """Collects named points and explicit segment lengths, then closes the metric."""
+def _closure(d: np.ndarray) -> np.ndarray:
+    """All-pairs shortest paths over ``d``, in place."""
+    for mid in range(d.shape[0]):
+        np.minimum(d, d[:, [mid]] + d[[mid], :], out=d)
+    return d
 
-    def __init__(self):
+
+def _euclidean(pts: np.ndarray) -> np.ndarray:
+    """Euclidean distance matrix of ``(p, 2)`` points, one coordinate at a time."""
+    dx, dy = (pts[:, None, i] - pts[None, :, i] for i in (0, 1))
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def _instance(endpoints, candidates, walk: np.ndarray, transit: np.ndarray, k: int,
+              labels=None) -> Instance:
+    """The one place this module builds an :class:`Instance`, from raw arrays."""
+    return Instance(
+        endpoints=np.array(endpoints, dtype=int),
+        candidates=np.array(candidates, dtype=int),
+        walk=Metric(walk),
+        transit=Metric(transit),
+        k=k,
+        candidate_labels=labels,
+    )
+
+
+class _MetricBuilder:
+    """Collects named points and explicit segment lengths, then closes the metric.
+
+    Points named in ``coords`` are placed at those coordinates instead, at
+    Euclidean distance from each other.
+    """
+
+    def __init__(self, coords: dict[str, tuple[float, float]] | None = None):
         self._names: list[str] = []
         self._index: dict[str, int] = {}
         self._edges: dict[tuple[int, int], float] = {}
+        self._coords = coords
+        self.points(*(coords or ()))
 
     def point(self, name: str) -> int:
         if name not in self._index:
@@ -68,22 +100,23 @@ class _MetricBuilder:
         key = (min(i, j), max(i, j))
         self._edges[key] = min(self._edges.get(key, INF), float(value))
 
-    def __getitem__(self, name: str) -> int:
-        return self._index[name]
-
-    def build(self) -> Metric:
+    def build(self) -> np.ndarray:
+        if self._coords is not None:
+            return _euclidean(np.array(list(self._coords.values()), dtype=float))
         p = len(self._names)
         d = np.full((p, p), INF)
         np.fill_diagonal(d, 0.0)
         for (i, j), v in self._edges.items():
             d[i, j] = d[j, i] = v
-        for mid in range(p):
-            np.minimum(d, d[:, [mid]] + d[[mid], :], out=d)
-        return Metric(d)
+        return _closure(d)
 
-
-def _null_transit(m: int) -> Metric:
-    return Metric(np.zeros((m, m)))
+    def instance(self, endpoints, candidates, k: int, labels=None) -> Instance:
+        """Agents travel between the named endpoint pairs; the named
+        candidates are labelled ``labels``, by default their names; rides
+        are free."""
+        ends, cand = [self.points(a, b) for a, b in endpoints], self.points(*candidates)
+        free = np.zeros((len(cand), len(cand)))
+        return _instance(ends, cand, self.build(), free, k, tuple(labels or candidates))
 
 
 def _line_region(b: _MetricBuilder, names_at: list[tuple[str, float]]) -> None:
@@ -118,16 +151,8 @@ def jr_lower_instance() -> Instance:
         for s, stop in enumerate(stops):
             for e, endpoint in enumerate(eps_names):
                 b.dist(stop, endpoint, ring[(e + s) % 3])
-    endpoints = [(b["a1"], b["b1"]), (b["a2"], b["b2"]), (b["a3"], b["b3"])]
-    labels = tuple(f"t{j}" for j in range(1, 7))
-    return Instance(
-        endpoints=np.array(endpoints),
-        candidates=np.array(b.points(*labels)),
-        walk=b.build(),
-        transit=_null_transit(6),
-        k=3,
-        candidate_labels=labels,
-    )
+    endpoints = [(f"a{i}", f"b{i}") for i in (1, 2, 3)]
+    return b.instance(endpoints, [f"t{j}" for j in range(1, 7)], 3)
 
 
 def gc_jr_tight_instance(eps: float = 0.01) -> Instance:
@@ -221,28 +246,10 @@ def _two_line_instance(
         cand_names.append("T0" if j % 2 == 0 else "B0")
         labels.append(extra)
     for j in range(far_decoys):
-        name = f"D{j}"
-        b.point(name)
-        cand_names.append(name)
+        cand_names.append(f"D{j}")
         labels.append(f"y{3 + j}")
-    endpoints = [
-        (b["T0"], b["B1"]),
-        (b["T1"], b["B2"]),
-        (b["T1"], b["B0"]),
-        (b["T2"], b["B1"]),
-        (b["T3"], b["B3"]),
-        (b["T3"], b["B3"]),
-        (b["T3"], b["B3"]),
-    ]
-    m = len(cand_names)
-    return Instance(
-        endpoints=np.array(endpoints),
-        candidates=np.array([b[nm] for nm in cand_names]),
-        walk=b.build(),
-        transit=_null_transit(m),
-        k=4,
-        candidate_labels=tuple(labels),
-    )
+    endpoints = [("T0", "B1"), ("T1", "B2"), ("T1", "B0"), ("T2", "B1")] + [("T3", "B3")] * 3
+    return b.instance(endpoints, cand_names, 4, labels)
 
 
 def gc_core_tight_instance(eps: float = 0.01, h: int = 10) -> Instance:
@@ -266,21 +273,12 @@ def gc_core_tight_instance(eps: float = 0.01, h: int = 10) -> Instance:
         for e, endpoint in enumerate(eps_names):
             b.dist(tight, endpoint, near[e])
             b.dist(loose, endpoint, wide[e])
-    for decoy in ("t5", "t6", "t7"):
-        b.point(decoy)
     group_sizes = [6 * h - 1, 6 * h - 1, 3 * h + 2]
     endpoints = []
     for g, size in enumerate(group_sizes):
-        endpoints.extend([(b[f"a{g + 1}"], b[f"b{g + 1}"])] * size)
-    labels = tuple(f"t{j}" for j in range(1, 8))
-    return Instance(
-        endpoints=np.array(endpoints),
-        candidates=np.array([b[lb] for lb in labels]),
-        walk=b.build(),
-        transit=_null_transit(7),
-        k=5,
-        candidate_labels=labels,
-    )
+        endpoints.extend([(f"a{g + 1}", f"b{g + 1}")] * size)
+    # Decoys t5 to t7 are named only here, so they sit at infinity.
+    return b.instance(endpoints, [f"t{j}" for j in range(1, 8)], 5)
 
 
 def eca_jr_tight_instance(eps: float = 0.01) -> Instance:
@@ -303,21 +301,8 @@ def eca_jr_tight_instance(eps: float = 0.01) -> Instance:
         for e, endpoint in enumerate(eps_names):
             b.dist(tight, endpoint, near[e])
             b.dist(loose, endpoint, cheap[e])
-    endpoints = [
-        (b["a1"], b["b1"]),
-        (b["a23"], b["b23"]),
-        (b["a23"], b["b23"]),
-        (b["a4"], b["b4"]),
-    ]
-    labels = ("t1", "t2", "t3", "t4")
-    return Instance(
-        endpoints=np.array(endpoints),
-        candidates=np.array([b[lb] for lb in labels]),
-        walk=b.build(),
-        transit=_null_transit(4),
-        k=3,
-        candidate_labels=labels,
-    )
+    endpoints = [("a1", "b1"), ("a23", "b23"), ("a23", "b23"), ("a4", "b4")]
+    return b.instance(endpoints, ["t1", "t2", "t3", "t4"], 3)
 
 
 def kz_core_failure_instance(gamma: float = 1.0, r: int = 2) -> Instance:
@@ -345,23 +330,15 @@ def kz_core_failure_instance(gamma: float = 1.0, r: int = 2) -> Instance:
         b.dist(f"s{i}.{j}", f"p{j}.{i}", 1.0)
     endpoints = []
     for i, j in edges:
-        endpoints.extend([(b[f"v{i}"], b[f"v{j}"])] * (r - 1))
-        endpoints.append((b[f"p{i}.{j}"], b[f"p{j}.{i}"]))
+        endpoints.extend([(f"v{i}", f"v{j}")] * (r - 1))
+        endpoints.append((f"p{i}.{j}", f"p{j}.{i}"))
     cand_names = [f"v{v}" for v in range(1, z + 1)]
     labels = [f"t{v}" for v in range(1, z + 1)]
     for i, j in edges:
         cand_names.extend([f"s{j}.{i}", f"s{i}.{j}"])
         labels.extend([f"t{j}{i}" if z < 10 else f"t{j}.{i}",
                        f"t{i}{j}" if z < 10 else f"t{i}.{j}"])
-    m = len(cand_names)
-    return Instance(
-        endpoints=np.array(endpoints),
-        candidates=np.array([b[nm] for nm in cand_names]),
-        walk=b.build(),
-        transit=_null_transit(m),
-        k=z * z - z,
-        candidate_labels=tuple(labels),
-    )
+    return b.instance(endpoints, cand_names, z * z - z, labels)
 
 
 def hybrid_core_tight_instance(
@@ -389,8 +366,6 @@ def hybrid_core_tight_instance(
         b.dist(f"y{z}", f"c{z}", half - q * eps)
         b.dist(f"z{z}", f"t{z}", 1.0 + q)
         b.dist(f"z{z}", f"c{z}", half - q * eps)
-    for decoy in ("c5", "c6", "c7", "c8"):
-        b.point(decoy)
     groups = [
         (h - 1, ("x1", "x3")),
         (h - 1, ("x2", "x4")),
@@ -399,18 +374,10 @@ def hybrid_core_tight_instance(
         (2, ("z1", "z2")),
         (2, ("z3", "z4")),
     ]
-    endpoints = []
-    for size, (a, bb) in groups:
-        endpoints.extend([(b[a], b[bb])] * size)
-    labels = ("t1", "t2", "t3", "t4", "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8")
-    return Instance(
-        endpoints=np.array(endpoints),
-        candidates=np.array([b[lb] for lb in labels]),
-        walk=b.build(),
-        transit=_null_transit(12),
-        k=8,
-        candidate_labels=labels,
-    )
+    endpoints = [pair for size, pair in groups for _ in range(size)]
+    # Decoys c5 to c8 are named only here, so they sit at infinity.
+    stops = [f"t{z}" for z in range(1, 5)] + [f"c{z}" for z in range(1, 9)]
+    return b.instance(endpoints, stops, 8)
 
 
 def clustering_lb_instance() -> Instance:
@@ -428,23 +395,9 @@ def clustering_lb_instance() -> Instance:
         b.dist(left, center, 1.0)
         b.dist(center, right, 1.0)
         b.dist(center, top, 1.0)
-    endpoints = [
-        (b["x1"], b["x8"]),
-        (b["x4"], b["x5"]),
-        (b["x2"], b["x3"]),
-        (b["x6"], b["x7"]),
-        (b["x9"], b["x10"]),
-        (b["x11"], b["x12"]),
-    ]
-    cand = ["x1", "x2", "x3", "x5", "x6", "x7", "x9", "x10", "x11"]
-    return Instance(
-        endpoints=np.array(endpoints),
-        candidates=np.array([b[nm] for nm in cand]),
-        walk=b.build(),
-        transit=_null_transit(9),
-        k=6,
-        candidate_labels=tuple(cand),
-    )
+    endpoints = [("x1", "x8"), ("x4", "x5"), ("x2", "x3"),
+                 ("x6", "x7"), ("x9", "x10"), ("x11", "x12")]
+    return b.instance(endpoints, ["x1", "x2", "x3", "x5", "x6", "x7", "x9", "x10", "x11"], 6)
 
 
 def motivating_instance() -> Instance:
@@ -462,22 +415,8 @@ def motivating_instance() -> Instance:
         "b1": (4, 2), "b2": (6, 2), "b3": (5, 1), "b4": (5, 3),
         "c1": (0, 5), "c2": (0, 2), "c3": (5, 5), "c4": (5, 2),
     }
-    names = list(coords)
-    pts = np.array([coords[nm] for nm in names], dtype=float)
-    diff = pts[:, None, :] - pts[None, :, :]
-    walk = Metric(np.sqrt((diff ** 2).sum(axis=2)))
-    ix = {nm: i for i, nm in enumerate(names)}
-    endpoints = [(ix[f"a{i}"], ix[f"b{i}"]) for i in range(1, 7)]
-    endpoints[4] = (ix["a5"], ix["b5"])
-    labels = ("c1", "c2", "c3", "c4")
-    return Instance(
-        endpoints=np.array(endpoints),
-        candidates=np.array([ix[lb] for lb in labels]),
-        walk=walk,
-        transit=_null_transit(4),
-        k=3,
-        candidate_labels=labels,
-    )
+    return _MetricBuilder(coords).instance(
+        [(f"a{i}", f"b{i}") for i in range(1, 7)], ["c1", "c2", "c3", "c4"], 3)
 
 
 def line_pf_example(ell: int = 1) -> LineClusteringInstance:
@@ -524,9 +463,7 @@ def random_euclidean(
     if not (math.isfinite(factor) and factor >= 0.0):
         raise ValueError(f"factor must be finite and >= 0, got {factor}")
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(0.0, 1.0, size=(2 * n + m, 2))
-    diff = pts[:, None, :] - pts[None, :, :]
-    walk = np.sqrt((diff ** 2).sum(axis=2))
+    walk = _euclidean(rng.uniform(0.0, 1.0, size=(2 * n + m, 2)))
     cand = np.arange(2 * n, 2 * n + m)
     if transit == "null":
         ride = np.zeros((m, m))
@@ -536,16 +473,8 @@ def random_euclidean(
         raw = rng.uniform(0.0, 1.0, size=(m, m))
         ride = np.minimum(raw, raw.T)
         np.fill_diagonal(ride, 0.0)
-        for mid in range(m):
-            np.minimum(ride, ride[:, [mid]] + ride[[mid], :], out=ride)
-    endpoints = np.arange(2 * n).reshape(n, 2)
-    return Instance(
-        endpoints=endpoints,
-        candidates=cand,
-        walk=Metric(walk),
-        transit=Metric(ride),
-        k=k,
-    )
+        _closure(ride)
+    return _instance(np.arange(2 * n).reshape(n, 2), cand, walk, ride, k)
 
 
 # ---------------------------------------------------------------------------
@@ -657,10 +586,11 @@ def _decode_tri(values, size: int, fieldname: str) -> np.ndarray:
             v = next(it)
             if isinstance(v, str) and v.lower() in ("inf", "infinity", "+inf"):
                 x = INF
-            elif isinstance(v, (int, float)) and not isinstance(v, bool) and not math.isnan(v):
-                x = float(v)
+            elif isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0:
+                x = float(v)  # NaN and -inf fail the test above
             else:
-                raise InstanceParseError(f"field '{fieldname}': bad entry {v!r}")
+                raise InstanceParseError(
+                    f"field '{fieldname}': bad entry {v!r} (want a number >= 0 or \"inf\")")
             d[i, j] = d[j, i] = x
     return d
 
@@ -690,7 +620,11 @@ def write_instance(instance: Instance, path) -> None:
 
 
 def read_instance(path) -> Instance:
-    """Read an instance file written by :func:`write_instance` (any key order)."""
+    """Read an instance file written by :func:`write_instance` (any key order).
+
+    Every distance entry must be a number >= 0 or ``"inf"``; the other metric
+    axioms cost O(p^3) and are left to :func:`validate_instance`.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -724,11 +658,4 @@ def read_instance(path) -> Instance:
         if not isinstance(labels, list) or len(labels) != m:
             raise InstanceParseError(f"{path}: field 'labels' must list {m} names")
         labels = tuple(str(s) for s in labels)
-    return Instance(
-        endpoints=np.array(endpoints, dtype=int).reshape(n, 2) if n else np.zeros((0, 2), dtype=int),
-        candidates=np.array(candidates, dtype=int),
-        walk=Metric(walk),
-        transit=Metric(transit),
-        k=k,
-        candidate_labels=labels,
-    )
+    return _instance(endpoints, candidates, walk, transit, k, labels)

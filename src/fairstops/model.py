@@ -84,10 +84,12 @@ class Metric:
             for i, j in np.argwhere(d < 0):
                 if i <= j:
                     out.append(f"{name}: negative distance at ({i},{j}): {d[i, j]}")
-        # Triangle inequality, vacuous whenever the right side is infinite.
+        # Triangle inequality, vacuous whenever the right side is infinite.  The
+        # slack widens the bound for either sign: a negative entry must not
+        # read as exceeding itself.
         for mid in range(p):
             through = d[:, [mid]] + d[[mid], :]
-            bad = d > through * (1.0 + RTOL)
+            bad = d > np.maximum(through * (1.0 + RTOL), through * (1.0 - RTOL))
             for i, j in np.argwhere(bad):
                 if i < j:
                     out.append(
@@ -149,6 +151,10 @@ class Instance:
         Stop budget, ``1 <= k <= m``.
     candidate_labels : tuple of str, optional
         Display names for the candidates (used by generators and the CLI).
+
+    An instance with :func:`structure_problems` still builds, so that
+    :func:`validate_instance` can report them, but every cost function
+    raises ``ValueError`` on it: its cost tables are never built.
     """
 
     endpoints: np.ndarray
@@ -158,7 +164,8 @@ class Instance:
     k: int
     candidate_labels: tuple[str, ...] | None = None
 
-    # Derived arrays, filled in __post_init__.
+    # Derived tables, built in __post_init__ only on a valid structure;
+    # reading an unbuilt one raises its first problem (__getattr__).
     _ep_flat: np.ndarray = field(init=False, repr=False)
     _d_ac: np.ndarray = field(init=False, repr=False)
     _d_bc: np.ndarray = field(init=False, repr=False)
@@ -176,21 +183,20 @@ class Instance:
             if len(labels) != len(cand):
                 raise ValueError("candidate_labels length must equal candidate count")
             object.__setattr__(self, "candidate_labels", labels)
-        # Derived lookup tables use clipped indices so that construction never
-        # raises on malformed input; validate_instance reports range errors.
-        p = self.walk.size
-        hi = max(p - 1, 0)
-        ep_safe = np.clip(ep, 0, hi) if ep.size else ep
-        cand_safe = np.clip(cand, 0, hi) if cand.size else cand
-        flat = np.empty(2 * len(ep), dtype=int)
-        flat[0::2] = ep_safe[:, 0] if ep.size else []
-        flat[1::2] = ep_safe[:, 1] if ep.size else []
-        object.__setattr__(self, "_ep_flat", _readonly(flat))
-        d = self.walk.dist if p else np.zeros((1, 1))
-        object.__setattr__(self, "_d_ac", _readonly(d[np.ix_(ep_safe[:, 0], cand_safe)]))
-        object.__setattr__(self, "_d_bc", _readonly(d[np.ix_(ep_safe[:, 1], cand_safe)]))
-        object.__setattr__(self, "_d_ab", _readonly(d[ep_safe[:, 0], ep_safe[:, 1]]))
         object.__setattr__(self, "_null_transit", bool(np.all(self.transit.dist == 0.0)))
+        if structure_problems(self):
+            return
+        d, (a, b) = self.walk.dist, ep.T
+        object.__setattr__(self, "_ep_flat", self.endpoints.reshape(-1))
+        object.__setattr__(self, "_d_ac", _readonly(d[np.ix_(a, cand)]))
+        object.__setattr__(self, "_d_bc", _readonly(d[np.ix_(b, cand)]))
+        object.__setattr__(self, "_d_ab", _readonly(d[a, b]))
+
+    def __getattr__(self, name):
+        # Only reached for an attribute that was never set.
+        if name in ("_ep_flat", "_d_ac", "_d_bc", "_d_ab"):
+            require_valid_structure(self)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @property
     def n(self) -> int:
@@ -415,7 +421,8 @@ def validate_instance(instance: Instance) -> list[str]:
 
 
 def require_valid_structure(instance: Instance) -> None:
-    """Cheap structural guard used by the algorithms (no O(p^3) metric check)."""
+    """Raise ``ValueError`` with the first of :func:`structure_problems`, if any
+    (no O(p^3) metric check)."""
     problems = structure_problems(instance)
     if problems:
         raise ValueError(problems[0])
@@ -428,7 +435,6 @@ def require_valid_structure(instance: Instance) -> None:
 
 def induce_clustering(instance: Instance) -> ClusteringInstance:
     """Reinterpret all 2n agent endpoints as datapoints; keep centers and budget."""
-    require_valid_structure(instance)
     return ClusteringInstance(
         datapoints=instance.endpoint_points,
         centers=instance.candidates,

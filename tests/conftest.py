@@ -76,6 +76,9 @@ BAD_FIELD_VALUES = [
     pytest.param("k", None, True, id="k-bool"),
     pytest.param("walk", 1, [0.5], id="walk-list"),
     pytest.param("walk", 1, float("nan"), id="walk-nan"),
+    pytest.param("walk", 1, -5.0, id="walk-negative"),
+    pytest.param("walk", 1, float("-inf"), id="walk-minus-inf"),
+    pytest.param("transit", 1, -1.0, id="transit-negative"),
     pytest.param("transit", 0, None, id="transit-null"),
     pytest.param("endpoints", 0, [0, "1"], id="endpoints-str"),
     pytest.param("endpoints", 0, [0, 1.0], id="endpoints-float"),

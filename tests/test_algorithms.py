@@ -273,6 +273,16 @@ def test_hybrid_rejects_bad_weight():
         fs.HybridParams(-0.1)
 
 
+def test_sweeps_reject_zero_budget():
+    # k = 0 must fail as a bad instance, not as a division inside the sweep.
+    base = fs.generate("eca-jr-tight", eps=0.01)
+    inst = fs.Instance(endpoints=base.endpoints, candidates=base.candidates, walk=base.walk,
+                       transit=base.transit, k=0)
+    for call in (fs.gc_trsp, fs.eca, lambda i: fs.hybrid(i, 0.5)):
+        with pytest.raises(ValueError, match="k=0"):
+            call(inst)
+
+
 def test_hybrid_factor_identities():
     assert fs.hybrid_jr_factor(1.0) == pytest.approx(2 + SQRT5, abs=1e-12)
     assert fs.hybrid_jr_factor(0.0) == pytest.approx(3.0, abs=1e-12)

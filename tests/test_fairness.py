@@ -335,8 +335,8 @@ def test_verifiers_reject_nan_factor(table5):
 
 @pytest.mark.parametrize("field", ["k", "endpoint"])
 def test_verifiers_reject_structurally_invalid_instances(field):
-    # Built directly, the instance's cost tables read clipped indices, so
-    # without the guard the verifiers answered on a different instance.
+    # Built directly, such an instance leaves its cost tables unbuilt, so
+    # every cost function, sweep and verifier raises instead of answering.
     base = fs.random_euclidean(4, 4, 2, 0)
     endpoints = base.endpoints.copy()
     if field == "endpoint":
@@ -352,6 +352,15 @@ def test_verifiers_reject_structurally_invalid_instances(field):
         lambda: fs.core_violation(inst, sol, 2),
         lambda: fs.improving_pairs(inst, 0, sol),
         lambda: fs.induce_clustering(inst),
+        lambda: fs.solution_costs(inst, sol),
+        lambda: fs.route_costs(inst, sol),
+        lambda: fs.agent_cost(inst, 0, sol),
+        lambda: fs.total_cost(inst, sol),
+        lambda: fs.exact_min_cost(inst),
+        lambda: fs.gc_trsp(inst),
+        lambda: fs.eca(inst),
+        lambda: fs.hybrid(inst, 0.5),
+        lambda: inst.endpoint_candidate_dists(),
     ):
         with pytest.raises(ValueError, match="k=9" if field == "k" else "endpoint index"):
             call()

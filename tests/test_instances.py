@@ -1,5 +1,6 @@
 """Instance families: validity, hand-checked distances, parameters, file I/O."""
 
+import hashlib
 import json
 import math
 
@@ -295,6 +296,62 @@ def test_round_trip_random_instance(tmp_path):
     path = tmp_path / "r.json"
     fs.write_instance(inst, path)
     assert fs.read_instance(path) == inst
+
+
+def file_sha256(inst, path) -> str:
+    fs.write_instance(inst, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# sha256 of the written file of every named placement family at its defaults,
+# plus two non-default parameter sets ("kz" at z = 10 takes the dotted labels).
+FAMILY_FILE_SHA256 = {
+    "clustering-lb": "ffaf9cbf1490d35ef57ce2e4056df16279f0d9069d827893e643118958e902e4",
+    "eca-jr-tight": "ab055cead86a641b9db77d4d8ad6d40ddcb9bdd68c611584bf22fcbb3720d6fa",
+    "gc-core-tight": "660ce3fd9398b4dc1f2a7675efbd3de3cfee398668e80851bffa431b0b4b9d17",
+    "gc-jr-tight": "bede159d0927fa73658abefbfc9c81b4de9d5f2b0a12e46f9f87d976c54ccede",
+    "hybrid-core-tight": "33644641551551fd85d6620e5053a6f878f91c6fa1ea7a0f4015e8de29e2454e",
+    "hybrid-jr-tight": "97075e9aa881c2022c272c579d8f13eb369aa6531f56c9170b8489e11ddc9ecb",
+    "jr-lower": "46159f04854819c40c50d2381b88f7fcddda9cf9f7a938c191e9c3d06a020277",
+    "kz": "eb218e8ea3a3b9ba294be9f8a5719edce07d68d96158c42b40019b05e0fc4cc5",
+    "motivating": "568ee40f0ff39d07c026828c9fe99d6d24af9b7bc6977b11c5317f0cd1d7732f",
+    "kz gamma=4.5 r=2": "50e948f8a4fc0d46af5d60ca63b577b85c2340a07d00e44b3abd33e6542b5e0d",
+    "hybrid-jr-tight lam=0.25 eps=0.05":
+        "9da0108803b4d25301946aecf0c925a0c28cab30b5d3b8581e96b67c82041fb8",
+}
+
+# sha256 of the written file of random_euclidean(30, 9, 3, seed, mode, factor=0.7).
+RANDOM_FILE_SHA256 = {
+    "null 0": "92ad6197d0e5ea62cda0431f12508bb9e24cad4de97f1021e26730e70c0870a8",
+    "null 1": "08715d1b75058b01d1a602ad17dd9fd194f47b05cf546e94395acf6ee4f71b0c",
+    "null 2": "15d486d6af7d2ab0892acf00eaf0244d3cddbb31bd8e84f3dc0ba33384fc122c",
+    "scaled 0": "4781d6323a27b7ee5311449262a5ce057d421f2875d1e8b9f161f20fc1d8ebd6",
+    "scaled 1": "03fa2769608a6f95efc4124564e57ca4d3c25fed57999187ac93b834f41be245",
+    "scaled 2": "88db80855a95054deffacce2ed106a65122a4f1257c5cb828989a874495e2d9a",
+    "random 0": "8c99ab2650faeedf8ab3c6dccb79c40325db631e65c68f5b8957ea8a3ce23613",
+    "random 1": "276a049fb28fbf6214429102821e752069d479b81b07ee68a3e7e8927a673d7f",
+    "random 2": "a11a10ae09dbf92b4281289703421395a5df3ed9578b7d00fe045bd660d1215e",
+}
+
+
+def test_family_files_are_golden(tmp_path):
+    got = {}
+    for key in FAMILY_FILE_SHA256:
+        name, *assignments = key.split()
+        params = {a: float(v) for a, v in (s.split("=") for s in assignments)}
+        got[key] = file_sha256(fs.generate(name, **params), tmp_path / "f.json")
+    assert sorted(name for name in got if " " not in name) == sorted(
+        name for name in fs.FAMILIES if name != "line-pf")
+    assert got == FAMILY_FILE_SHA256
+
+
+def test_random_files_are_golden(tmp_path):
+    got = {}
+    for key in RANDOM_FILE_SHA256:
+        mode, seed = key.split()
+        inst = fs.random_euclidean(30, 9, 3, int(seed), transit=mode, factor=0.7)
+        got[key] = file_sha256(inst, tmp_path / "r.json")
+    assert got == RANDOM_FILE_SHA256
 
 
 def test_inf_encoded_as_string(tmp_path):

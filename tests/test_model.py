@@ -271,6 +271,18 @@ def test_validate_report_is_scale_free():
     assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
+def test_negative_entry_is_no_triangle_violation_of_itself():
+    base = fs.random_euclidean(4, 4, 2, 0)
+    walk = base.walk.dist.copy()
+    walk[0, 1] = walk[1, 0] = -5.0
+    bent = fs.Instance(endpoints=base.endpoints, candidates=base.candidates,
+                       walk=fs.Metric(walk), transit=base.transit, k=base.k)
+    report = fs.validate_instance(bent)
+    assert "walk: negative distance at (0,1): -5.0" in report
+    for through in ("d(0,0)+d(0,1)", "d(0,1)+d(1,1)"):
+        assert f"walk: triangle violation d(0,1)=-5.0 > {through}=-5.0" not in report
+
+
 @pytest.mark.parametrize("scale", [1e-12, 1e12])
 def test_every_family_validates_clean_at_any_scale(scale):
     for name in sorted(fs.FAMILIES):
