@@ -218,6 +218,14 @@ def _print_witness(instance: Instance, witness) -> None:
 
 
 def _cmd_verify(args) -> int:
+    if args.prop == "core" and args.backend == "milp":
+        # Load the solver before any work, so that a missing scipy is a usage
+        # error on every input and the call's memory and start-up cost do not
+        # hinge on whether the reach counts settle its probes.
+        try:
+            import scipy.optimize  # noqa: F401
+        except ImportError:
+            raise _CliError("--backend milp needs scipy")
     instance = _load_instance(args.instance)
     stops = _parse_solution(args.solution, instance)
     beta = args.beta if args.beta is not None else 1.0

@@ -35,9 +35,14 @@ exceeds 1 and reaches ``beta`` under the same rule.
 
 The core checker has two interchangeable backends: exhaustive enumeration of
 deviation targets (the reference) and a 0/1 integer program solved by
-branch-and-bound, cross-checked against each other in the tests.  Only the
-integer program needs scipy, and :func:`milp` imports it on its first solve,
-so importing the package and every other check leave scipy unloaded.
+branch-and-bound, cross-checked against each other in the tests.  Each
+integer-program probe is first screened by the pair reach counts (how many
+agents each stop pair serves at the ``beta`` probed): a target of ``t``
+stops holds ``C(t, 2)`` pairs, so its coalition is at most the sum of the
+``C(t, 2)`` largest counts, and a probe no admissible ``t`` can satisfy is
+settled without a solve.  Only the integer program needs scipy, and
+:func:`milp` imports it on its first solve, so importing the package, every
+other check and every probe the counts settle leave scipy unloaded.
 """
 
 from __future__ import annotations
@@ -303,7 +308,15 @@ def _core_violation_milp(
     subject to every member holding an improving pair inside the chosen stop
     set and the coalition outweighing ``alpha * |T| * n / k``.  ``reach`` is
     the ``(pairs, agents)`` mask of the boundary rule at the ``beta`` tested.
-    A positive optimum is exactly a core violation."""
+    A positive optimum is exactly a core violation.
+
+    Before the program is built, an exact screen settles the probe from the
+    reach counts alone.  A positive optimum needs a target of ``t >= 2``
+    stops, whose coalition holds at most ``min(|served|, sum of the C(t, 2)
+    largest pair reach counts)`` agents; when that bound misses the size
+    rule ``|S| * k * q >= p * t * n`` (``alpha = p/q``) for every ``t`` up to
+    ``min(m, k*q // p)``, the optimum is 0 and ``None`` is returned without a
+    solve.  Probes the screen leaves open solve the same program as before."""
     n, m, k = instance.n, instance.m, instance.k
     p, q = alpha.numerator, alpha.denominator
     # Single-stop targets are left out: walking is a metric (validate_instance
@@ -313,6 +326,12 @@ def _core_violation_milp(
     if not used.size:
         return None
     served = reach.any(axis=0)
+    # The screen (see above); tops[j] sums the j largest pair reach counts.
+    tops = [0] + np.sort(reach.sum(axis=1))[::-1].cumsum().tolist()
+    reachable = int(np.count_nonzero(served))
+    if not any(min(reachable, tops[min(t * (t - 1) // 2, len(tops) - 1)]) * k * q >= p * t * n
+               for t in range(2, min(m, k * q // p) + 1)):
+        return None
     # Variables: x_i (agents), s_c (stops), y_j (pairs actually improving
     # someone).  Rows, each at most 0: x_i <= the sum of the y_j reaching
     # agent i, for every agent some pair reaches; y_j <= s_a and y_j <= s_b
@@ -356,7 +375,8 @@ def _core_milp(instance, cy, alpha: Fraction, beta: float | None):
         return probe(beta)
     ladder = np.unique(ratios[ratios > 1.0]).tolist()
     # Violations exist on a prefix of the ascending ladder; find its last rung.
-    # The lowest rung goes first, so a fair placement costs one solve.
+    # The lowest rung goes first, so a fair placement costs at most one solve,
+    # and none when the reach counts settle it.
     witness = probe(ladder[0]) if ladder else None
     if witness is None:
         return FairnessReport("CORE", alpha, 1.0, None)

@@ -257,6 +257,10 @@ class ClusteringInstance:
         object.__setattr__(self, "datapoints", _readonly(dp))
         object.__setattr__(self, "centers", _readonly(ce))
         object.__setattr__(self, "k", int(self.k))
+        p = self.dist.size
+        for name, idx in (("datapoints", dp), ("centers", ce)):
+            if idx.size and (idx.min() < 0 or idx.max() >= p):
+                raise ValueError(f"{name} index out of range [0, {p})")
         object.__setattr__(self, "_d_dc", _readonly(self.dist.dist[np.ix_(dp, ce)]))
 
     @property
@@ -339,20 +343,27 @@ def route_costs(instance: Instance, solution) -> np.ndarray:
     array, so its vector is the table's row bit for bit.  Infinite for every
     agent when the placement is empty.  This is the service level a
     placement itself provides; :func:`solution_costs` caps it by the walk.
+    Every cost reads this function, so its one range check covers them all:
+    a stop index outside ``[0, m)`` raises ``ValueError`` naming it.
     """
     table = isinstance(solution, np.ndarray) and solution.ndim == 2
     units = solution if table else np.array([as_stops(solution)], dtype=int)
-    # Shapes below are (agents, units, stops[, stops]); the sum keeps the
-    # order (walk in + ride) + walk out of every route.  An empty stop set
-    # leaves each minimum at its initial INF.
-    da = instance._d_ac[:, units]
-    db = instance._d_bc[:, units]
+    if units.size and (units.min() < 0 or units.max() >= instance.m):
+        bad = units.min() if units.min() < 0 else units.max()
+        raise ValueError(f"stop index {bad} out of range [0, {instance.m})")
+    # Shapes below are stops first: (stops[, stops], units, agents), so each
+    # minimum over the leading axes is the (units, agents) table.  The sum
+    # keeps the order (walk in + ride) + walk out of every route.  An empty
+    # stop set leaves each minimum at its initial INF.
+    da = instance._d_ac.T[units.T]
+    db = instance._d_bc.T[units.T]
     if instance.null_transit:
-        best = da.min(axis=-1, initial=INF) + db.min(axis=-1, initial=INF)
+        best = da.min(axis=0, initial=INF) + db.min(axis=0, initial=INF)
     else:
-        ride = instance.transit.dist[units[..., :, None], units[..., None, :]]
-        best = (da[..., :, None] + ride + db[..., None, :]).min(axis=(-2, -1), initial=INF)
-    best = np.ascontiguousarray(best.T)
+        ride = instance.transit.dist[units.T[:, None], units.T[None, :]]
+        routes = da[:, None] + ride[..., None]
+        routes += db[None]
+        best = routes.min(axis=(0, 1), initial=INF)
     return best if table else best[0]
 
 
@@ -364,8 +375,9 @@ def total_cost(instance: Instance, solution) -> float:
 def stop_sets(m: int, size: int, n: int):
     """Every ``size``-subset of the ``m`` candidates, in lexicographic order,
     as ``(sets, size)`` index arrays in blocks whose :func:`route_costs`
-    intermediate for ``n`` agents stays within :data:`BLOCK_FLOATS`."""
-    per_block = max(1, BLOCK_FLOATS // max(1, n * size * size))
+    intermediate for ``n`` agents stays within :data:`BLOCK_FLOATS`: the two
+    walk gathers and the routes, ``n * (size * size + 2 * size)`` floats a set."""
+    per_block = max(1, BLOCK_FLOATS // max(1, n * (size * size + 2 * size)))
     combos = itertools.combinations(range(m), size)
     while chunk := list(itertools.islice(combos, per_block)):
         yield np.array(chunk, dtype=int).reshape(len(chunk), size)

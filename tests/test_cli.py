@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import sys
 
 import pytest
 
@@ -215,6 +216,22 @@ def test_verify_core_guard_exits_3(tmp_path, capsys, monkeypatch):
     )
     assert code == 3
     assert "FAIRSTOPS_CORE_GUARD_M" in err
+
+
+def test_verify_milp_without_scipy_exits_2(tmp_path, capsys, monkeypatch):
+    # The reach counts settle this placement, so no solve would run; the
+    # missing solver is reported all the same, before the instance is read.
+    path = tmp_path / "jr.json"
+    fs.write_instance(fs.generate("jr-lower"), path)
+    monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+    code, stdout, err = run_cli(
+        capsys,
+        "verify", "--instance", str(path), "--solution", "0,1,5",
+        "--prop", "core", "--alpha", "2", "--backend", "milp",
+    )
+    assert code == 2
+    assert "--backend milp needs scipy" in err
+    assert stdout == ""
 
 
 def test_verify_json_report(tmp_path, capsys):

@@ -214,12 +214,61 @@ def test_core_milp_ratio_settles_fair_placement_in_one_solve(monkeypatch, table5
     inst = fs.generate("jr-lower")
     report = fs.core_ratio(inst, (0, 1, 5), 2, backend="milp")
     assert report.factor == 1.0 and report.witness is None
-    assert len(solves) == 1
+    # The pair reach counts settle this placement: no solve at all.
+    assert len(solves) == 0
     # Unfair placements still get the tight factor of the enumeration.
     for inst, sol in ((inst, (0, 1, 5)), (inst, (0, 3)), table5):
         report = fs.core_ratio(inst, sol, 1, backend="milp")
         assert report.factor > 1.0
         assert report.factor == fs.core_ratio(inst, sol, 1).factor
+
+
+def counted_solves(monkeypatch) -> list:
+    """Wrap the MILP solver; the returned list gains one entry per solve."""
+    real_milp = fs.fairness.milp
+    solves = []
+
+    def counting_milp(*args, **kwargs):
+        solves.append(1)
+        return real_milp(*args, **kwargs)
+
+    monkeypatch.setattr(fs.fairness, "milp", counting_milp)
+    return solves
+
+
+def test_core_milp_screen_agrees_with_enumeration(monkeypatch):
+    # Every rung of the ratio ladder, and beta = 1, probed by both backends:
+    # the reach-count screen may settle a probe only where enumeration finds
+    # no violation either.
+    # The budget k = m makes the size rule easy to meet, so violations occur.
+    solves = counted_solves(monkeypatch)
+    probes = violated = 0
+    for seed in range(6):
+        for transit in ("null", "random"):
+            m = 5 + seed % 3
+            inst = fs.random_euclidean(4 + seed % 3, m, m, seed, transit=transit)
+            for sol in ((), fs.eca(inst)[0].stops):
+                cy = fs.solution_costs(inst, sol)
+                _, ratios = fs.fairness._pair_ratios(inst, cy)
+                for beta in [1.0] + np.unique(ratios[ratios > 1.0]).tolist():
+                    for alpha in (1, Fraction(3, 2), 2):
+                        exact = fs.core_violation(inst, sol, alpha, beta)
+                        milp = fs.core_violation(inst, sol, alpha, beta, backend="milp")
+                        assert (exact is None) == (milp is None), (seed, transit, sol, alpha, beta)
+                        probes += 1
+                        violated += exact is not None
+    # The screen settled some probes, and the solver still decided others.
+    assert 0 < violated <= len(solves) < probes
+
+
+def test_core_milp_solves_only_probes_the_screen_leaves_open(monkeypatch):
+    solves = counted_solves(monkeypatch)
+    inst = fs.generate("jr-lower")
+    assert fs.core_violation(inst, (0, 1, 5), 2, backend="milp") is None
+    assert len(solves) == 0
+    witness = fs.core_violation(inst, (0, 3), 1, backend="milp")
+    assert witness is not None and fs.core_violation(inst, (0, 3), 1) is not None
+    assert len(solves) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """What importing loads, and which names a traced benchmark run wraps.
 
-scipy is loaded by the core MILP backend only.  That check runs in a fresh
-interpreter, so modules imported by other tests cannot hide an import; it
-counts modules, not time.
+scipy is loaded by the core MILP backend only: the library loads it on a
+probe the pair reach counts leave open, ``verify --backend milp`` before any
+work.  Those checks run in a fresh interpreter, so modules imported by other
+tests cannot hide an import; they count modules, not time.
 """
 
 import importlib.util
@@ -74,6 +75,42 @@ def test_scipy_loads_only_for_the_core_milp(tmp_path):
     assert all(modules == [] for modules in loaded.values()), loaded
     assert "scipy.optimize" in milp_step
     assert result["milp"] == result["enumerate"] > 1.0
+
+
+def test_settled_core_milp_leaves_scipy_unloaded():
+    # The pair reach counts settle this fair placement, so no program is solved.
+    script = (
+        "import sys, fairstops as fs\n"
+        "report = fs.core_ratio(fs.generate('jr-lower'), (0, 1, 5), 2, backend='milp')\n"
+        "print(report.factor, 'scipy.optimize' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["1.0", "False"]
+
+
+def test_cli_milp_verify_loads_scipy_on_a_settled_probe(tmp_path):
+    # The same settled placement as above: the library solves nothing and
+    # leaves scipy unloaded, but the CLI loads its solver on every input.
+    script = (
+        "import contextlib, io, sys, fairstops as fs\n"
+        "from fairstops.cli import main\n"
+        "fs.write_instance(fs.generate('jr-lower'), 'inst.json')\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['verify', '--instance', 'inst.json', '--solution', '0,1,5',\n"
+        "                 '--prop', 'core', '--alpha', '2', '--backend', 'milp'])\n"
+        "print(code, 'scipy.optimize' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True,
+        text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["0", "True"]
 
 
 def test_traced_names_resolve():

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +191,51 @@ def test_unit_tables_equal_per_placement_vectors(corpus, corpus_random_transit):
                 assert capped_row.tobytes() == fs.solution_costs(inst, tuple(unit)).tobytes()
 
 
+def test_costs_bit_exact_against_loop_oracle(corpus, corpus_random_transit):
+    # The loop oracle adds (walk in + ride) + walk out and takes the minimum
+    # with the walk, so equal bits pin the kernel's sum order.
+    cases = corpus[:20] + corpus_random_transit[:20] + [inst for _, inst in family_instances()]
+    for inst in cases:
+        placements = [(), tuple(range(0, inst.m, 2)), tuple(range(inst.m))]
+        tables = [(placement, fs.solution_costs(inst, placement)) for placement in placements]
+        for size in (2, 3):
+            units = np.array(list(itertools.combinations(range(inst.m), size)), dtype=int)
+            tables += zip(units.reshape(-1, size).tolist(), fs.solution_costs(inst, units))
+        for stops, costs in tables:
+            assert [c.hex() for c in costs.tolist()] == [
+                naive_agent_cost(inst, i, stops).hex() for i in range(inst.n)
+            ], stops
+
+
+def test_out_of_range_stops_raise():
+    inst = fs.random_euclidean(6, 4, 2, 0)
+    for bad in (-1, inst.m):
+        for call in (
+            lambda: fs.total_cost(inst, (bad,)),
+            lambda: fs.agent_cost(inst, 0, (0, bad)),
+            lambda: fs.jr_ratio(inst, (bad,)),
+            lambda: fs.core_ratio(inst, (bad, 1), 1),
+            lambda: fs.core_ratio(inst, (bad, 1), 1, backend="milp"),
+        ):
+            with pytest.raises(ValueError, match=rf"stop index {bad} out of range \[0, 4\)"):
+                call()
+
+
+def test_route_cost_block_stays_near_budget():
+    # stop_sets sizes a block by what the kernel holds at once: the two walk
+    # gathers and the routes.  The (units, agents) result adds an eighth.
+    inst = fs.random_euclidean(1000, 60, 8, 0, transit="random")
+    for size in (2, 3):
+        block = next(model.stop_sets(inst.m, size, inst.n))
+        tracemalloc.start()
+        try:
+            fs.route_costs(inst, block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * model.BLOCK_FLOATS * 8, (size, len(block), peak)
+
+
 def test_stop_sets_list_every_subset_in_order():
     for m, size in [(0, 0), (3, 0), (1, 2), (5, 2), (6, 3)]:
         blocks = list(model.stop_sets(m, size, 4))
@@ -316,6 +362,14 @@ def test_induced_clustering_keeps_coincident_endpoints():
     inst = tiny_instance(walk, endpoints=[(0, 0)], candidates=[1], k=1)
     clustering = fs.induce_clustering(inst)
     assert clustering.datapoints.tolist() == [0, 0]
+
+
+def test_clustering_instance_rejects_out_of_range_indices():
+    dist = fs.Metric(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]))
+    for field, bad in (("datapoints", -1), ("datapoints", 3), ("centers", -1), ("centers", 3)):
+        points = {"datapoints": [0, 1], "centers": [1, 2], field: [0, bad]}
+        with pytest.raises(ValueError, match=rf"{field} index out of range \[0, 3\)"):
+            fs.ClusteringInstance(dist=dist, k=1, **points)
 
 
 def test_clustering_to_trsp_structure():
