@@ -94,7 +94,7 @@ def hybrid_core_beta(lam: float) -> float:
 
 
 def _ids(mask: np.ndarray) -> tuple[int, ...]:
-    return tuple(np.flatnonzero(mask).tolist())
+    return tuple(mask.nonzero()[0].tolist())
 
 
 def _first(mask: np.ndarray) -> int | None:
@@ -114,9 +114,9 @@ def _rekey(key: np.ndarray, table: np.ndarray, lost: np.ndarray, kept: np.ndarra
     """Keep ``key`` equal to ``_kth`` of ``table`` over columns ``kept`` once
     columns ``lost`` have left.  A row whose lost entries all exceed its key
     keeps that key, so only the other rows are partitioned again."""
-    rows = np.flatnonzero((table[:, lost] <= key[:, None]).any(axis=1))
+    rows = (table[:, lost] <= key[:, None]).any(axis=1).nonzero()[0]
     if rows.size:
-        key[rows] = _kth(table[np.ix_(rows, kept)], thr)
+        key[rows] = _kth(table[rows[:, None], kept], thr)
 
 
 def _open(unit, chosen: list[int], is_chosen: np.ndarray) -> tuple[int, ...]:
@@ -201,9 +201,9 @@ def _sweep(m: int, k: int, members: int, dist: np.ndarray | None = None, lam: fl
         live[gone] = False
         if cost is not None:
             full = agent_eps.all(axis=1)
-            _rekey(pair_key, pair_costs, np.flatnonzero(was & ~full), np.flatnonzero(full), thr)
+            _rekey(pair_key, pair_costs, (was & ~full).nonzero()[0], full.nonzero()[0], thr)
         if dist is not None:
-            _rekey(stop_key, dist, np.flatnonzero(gone), np.flatnonzero(live), thr)
+            _rekey(stop_key, dist, gone.nonzero()[0], live.nonzero()[0], thr)
 
     def retire(upto: float) -> None:
         """Retire every member due at a finite radius at most ``upto``, in
@@ -212,12 +212,12 @@ def _sweep(m: int, k: int, members: int, dist: np.ndarray | None = None, lam: fl
         if dist is not None and chosen:
             t_ep[live] = np.maximum(r, _bump_until(near()[live], lam))
         gone = live & (t_ep <= upto) & (t_ep < INF)
-        eps = np.flatnonzero(gone)
+        eps = gone.nonzero()[0]
         agents, t_ag = np.empty(0, dtype=int), np.empty(0)
         if cost is not None:
             t_ag = np.where(agent_eps.all(axis=1), np.maximum(r, costs), INF)
             whole = (t_ag <= np.minimum(upto, t_ep.reshape(-1, 2).min(axis=1))) & (t_ag < INF)
-            agents = np.flatnonzero(whole)
+            agents = whole.nonzero()[0]
             eps = eps[~whole[eps // 2]]
             gone |= np.repeat(whole, 2)
         radius = np.concatenate([t_ag[agents], t_ep[eps]])

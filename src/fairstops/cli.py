@@ -294,9 +294,9 @@ def _parse_algs(text: str) -> list[tuple[str, float | None]]:
             continue
         if tok in ("gc", "eca"):
             out.append((tok, None))
-        elif tok.startswith("hybrid"):
+        elif tok == "hybrid" or tok.startswith("hybrid:"):
             lam = 0.5
-            if ":" in tok:
+            if tok != "hybrid":
                 try:
                     lam = float(tok.split(":", 1)[1])
                 except ValueError:
@@ -365,6 +365,8 @@ def _cmd_experiment(args) -> int:
         for flag, value in (("--n", args.n), ("--m", args.m), ("--k", min(ks))):
             if value < 1:
                 raise _CliError(f"{flag} must be >= 1, got {value}")
+        if max(ks) > args.m:
+            raise _CliError(f"--k budget {max(ks)} exceeds --m {args.m}")
 
     rows = []
     for round_idx in range(args.rounds):
@@ -375,7 +377,6 @@ def _cmd_experiment(args) -> int:
             instances = [
                 (seed, random_euclidean(args.n, args.m, k, seed, transit=mode, factor=factor))
                 for k in ks
-                if k <= args.m
             ]
         for seed_val, inst in instances:
             for alg, lam in algs:

@@ -97,12 +97,12 @@ class FairnessReport:
 
 def _ratios(cy: np.ndarray, ct: np.ndarray) -> np.ndarray:
     """Improvement ratios cy/ct under the extended-real conventions above;
-    ``cy`` broadcasts against a ``(targets, agents)`` table ``ct``."""
-    cy, ct = np.broadcast_arrays(np.asarray(cy, dtype=float), np.asarray(ct, dtype=float))
+    ``cy`` broadcasts against a ``(targets, agents)`` table ``ct``.  On
+    nonnegative costs IEEE division already gives ``x/0 -> inf``,
+    ``x/inf -> 0`` and ``inf/x -> inf`` for finite ``x``; its only NaN quotients, 0/0 and
+    inf/inf, have equal operands and read 1."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = cy / ct
-    out = np.where(ct == 0.0, np.where(cy == 0.0, 1.0, INF), out)
-    return np.where(np.isinf(ct), np.where(np.isinf(cy), 1.0, 0.0), out)
+        return np.where(cy == ct, 1.0, cy / ct)
 
 
 def _reaches(r, beta: float):
@@ -144,7 +144,7 @@ def _search(cy: np.ndarray, blocks, beta: float | None = None) -> Witness | None
             if kth[j] > (found[2] if found else 1.0):
                 found = targets[j], ratios[j], float(kth[j])
             continue
-        hit = np.flatnonzero(_reaches(kth, beta))
+        hit = _reaches(kth, beta).nonzero()[0]
         if hit.size:
             j = hit[0]
             found = targets[j], ratios[j], float(kth[j])
@@ -152,7 +152,7 @@ def _search(cy: np.ndarray, blocks, beta: float | None = None) -> Witness | None
     if found is None:
         return None
     target, r, factor = found
-    coalition = np.flatnonzero(_reaches(r, factor if beta is None else beta))
+    coalition = _reaches(r, factor if beta is None else beta).nonzero()[0]
     return Witness(tuple(coalition.tolist()), tuple(target.tolist()), factor)
 
 
@@ -373,13 +373,14 @@ def _core_milp(instance, cy, alpha: Fraction, beta: float | None):
 
     if beta is not None:
         return probe(beta)
-    ladder = np.unique(ratios[ratios > 1.0]).tolist()
     # Violations exist on a prefix of the ascending ladder; find its last rung.
     # The lowest rung goes first, so a fair placement costs at most one solve,
-    # and none when the reach counts settle it.
-    witness = probe(ladder[0]) if ladder else None
+    # none when the reach counts settle it, and no sort of the ladder.
+    gains = ratios[ratios > 1.0]
+    witness = probe(gains.min()) if gains.size else None
     if witness is None:
         return FairnessReport("CORE", alpha, 1.0, None)
+    ladder = np.unique(gains).tolist()
     factor = ladder[0]
     lo, hi = 1, len(ladder) - 1
     while lo <= hi:

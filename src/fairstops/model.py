@@ -16,6 +16,7 @@ made of two mirrored copies at infinite separation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -165,10 +166,14 @@ class Instance:
     candidate_labels: tuple[str, ...] | None = None
 
     # Derived tables, built in __post_init__ only on a valid structure;
-    # reading an unbuilt one raises its first problem (__getattr__).
+    # reading an unbuilt one raises its first problem (__getattr__).  The
+    # walk tables are stops first, (m, n): _d_ca[c, i] and _d_cb[c, i] are the
+    # walks between stop c and a_i and b_i, and _d_cc[c, i] is agent i's route
+    # boarding and alighting at c, (walk in + ride c->c) + walk out.
     _ep_flat: np.ndarray = field(init=False, repr=False)
-    _d_ac: np.ndarray = field(init=False, repr=False)
-    _d_bc: np.ndarray = field(init=False, repr=False)
+    _d_ca: np.ndarray = field(init=False, repr=False)
+    _d_cb: np.ndarray = field(init=False, repr=False)
+    _d_cc: np.ndarray = field(init=False, repr=False)
     _d_ab: np.ndarray = field(init=False, repr=False)
     _null_transit: bool = field(init=False, repr=False)
 
@@ -188,13 +193,19 @@ class Instance:
             return
         d, (a, b) = self.walk.dist, ep.T
         object.__setattr__(self, "_ep_flat", self.endpoints.reshape(-1))
-        object.__setattr__(self, "_d_ac", _readonly(d[np.ix_(a, cand)]))
-        object.__setattr__(self, "_d_bc", _readonly(d[np.ix_(b, cand)]))
-        object.__setattr__(self, "_d_ab", _readonly(d[a, b]))
+        # Adding 0.0 turns a -0.0 distance into 0.0, so no cost is a negative
+        # zero, which fairness._ratios would divide by as -inf.
+        d_ca, d_cb = d.T[np.ix_(cand, a)] + 0.0, d.T[np.ix_(cand, b)] + 0.0
+        d_cc = d_ca + np.diagonal(self.transit.dist)[:, None]
+        d_cc += d_cb
+        object.__setattr__(self, "_d_ca", _readonly(d_ca))
+        object.__setattr__(self, "_d_cb", _readonly(d_cb))
+        object.__setattr__(self, "_d_cc", _readonly(d_cc))
+        object.__setattr__(self, "_d_ab", _readonly(d[a, b] + 0.0))
 
     def __getattr__(self, name):
         # Only reached for an attribute that was never set.
-        if name in ("_ep_flat", "_d_ac", "_d_bc", "_d_ab"):
+        if name in ("_ep_flat", "_d_ca", "_d_cb", "_d_cc", "_d_ab"):
             require_valid_structure(self)
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
@@ -219,8 +230,8 @@ class Instance:
     def endpoint_candidate_dists(self) -> np.ndarray:
         """Walking distance from every endpoint (2n rows) to every candidate."""
         out = np.empty((2 * self.n, self.m))
-        out[0::2] = self._d_ac
-        out[1::2] = self._d_bc
+        out[0::2] = self._d_ca.T
+        out[1::2] = self._d_cb.T
         return out
 
     def __eq__(self, other) -> bool:
@@ -261,7 +272,8 @@ class ClusteringInstance:
         for name, idx in (("datapoints", dp), ("centers", ce)):
             if idx.size and (idx.min() < 0 or idx.max() >= p):
                 raise ValueError(f"{name} index out of range [0, {p})")
-        object.__setattr__(self, "_d_dc", _readonly(self.dist.dist[np.ix_(dp, ce)]))
+        # + 0.0 as in Instance: no -0.0 distance reaches fairness._ratios.
+        object.__setattr__(self, "_d_dc", _readonly(self.dist.dist[np.ix_(dp, ce)] + 0.0))
 
     @property
     def n(self) -> int:
@@ -348,23 +360,35 @@ def route_costs(instance: Instance, solution) -> np.ndarray:
     """
     table = isinstance(solution, np.ndarray) and solution.ndim == 2
     units = solution if table else np.array([as_stops(solution)], dtype=int)
-    if units.size and (units.min() < 0 or units.max() >= instance.m):
-        bad = units.min() if units.min() < 0 else units.max()
-        raise ValueError(f"stop index {bad} out of range [0, {instance.m})")
-    # Shapes below are stops first: (stops[, stops], units, agents), so each
-    # minimum over the leading axes is the (units, agents) table.  The sum
-    # keeps the order (walk in + ride) + walk out of every route.  An empty
-    # stop set leaves each minimum at its initial INF.
-    da = instance._d_ac.T[units.T]
-    db = instance._d_bc.T[units.T]
+    if units.size:
+        lo, hi = units.min(), units.max()
+        if lo < 0 or hi >= instance.m:
+            raise ValueError(f"stop index {lo if lo < 0 else hi} out of range [0, {instance.m})")
+    # Shapes below are stops first: (stops, units, agents), so each minimum
+    # over the leading axis is the (units, agents) table.  Every route sums
+    # (walk in + ride) + walk out.  A route boarding and alighting at one
+    # stop is read from _d_cc, so only the s(s-1) ordered routes between two
+    # distinct stops of a unit are formed here.  An empty stop set leaves
+    # each minimum at its initial INF.
+    u, d_ca, d_cb = units.T, instance._d_ca, instance._d_cb
     if instance.null_transit:
-        best = da.min(axis=0, initial=INF) + db.min(axis=0, initial=INF)
+        best = d_ca[u].min(axis=0, initial=INF) + d_cb[u].min(axis=0, initial=INF)
     else:
-        ride = instance.transit.dist[units.T[:, None], units.T[None, :]]
-        routes = da[:, None] + ride[..., None]
-        routes += db[None]
-        best = routes.min(axis=(0, 1), initial=INF)
+        best = instance._d_cc[u].min(axis=0, initial=INF)
+        if len(u) > 1:
+            j, l = _off_diagonal(len(u))
+            routes = d_ca[u[j]]
+            routes += instance.transit.dist[u[j], u[l]][..., None]
+            routes += d_cb[u[l]]
+            np.minimum(best, routes.min(axis=0), out=best)
     return best if table else best[0]
+
+
+@functools.cache
+def _off_diagonal(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays ``(j, l)`` of every ordered pair ``j != l`` below ``size``,
+    read-only since every caller shares them."""
+    return tuple(map(_readonly, np.nonzero(~np.eye(size, dtype=bool))))
 
 
 def total_cost(instance: Instance, solution) -> float:
@@ -374,13 +398,19 @@ def total_cost(instance: Instance, solution) -> float:
 
 def stop_sets(m: int, size: int, n: int):
     """Every ``size``-subset of the ``m`` candidates, in lexicographic order,
-    as ``(sets, size)`` index arrays in blocks whose :func:`route_costs`
-    intermediate for ``n`` agents stays within :data:`BLOCK_FLOATS`: the two
-    walk gathers and the routes, ``n * (size * size + 2 * size)`` floats a set."""
-    per_block = max(1, BLOCK_FLOATS // max(1, n * (size * size + 2 * size)))
+    as ``(sets, size)`` index arrays in blocks whose :func:`route_costs` peak
+    for ``n`` agents stays within :data:`BLOCK_FLOATS`.  A set takes
+    ``n * (2 * size * (size - 1) + 1)`` floats there under a transit metric
+    (the off-diagonal routes, one walk-out gather and the table row) and
+    ``n * (size + 2)`` under null transit (one walk gather beside two
+    minima); a block is sized by the larger."""
+    per_block = max(1, BLOCK_FLOATS // max(1, n * max(2 * size * (size - 1) + 1, size + 2)))
     combos = itertools.combinations(range(m), size)
-    while chunk := list(itertools.islice(combos, per_block)):
-        yield np.array(chunk, dtype=int).reshape(len(chunk), size)
+    total = math.comb(m, size)
+    for start in range(0, total, per_block):
+        rows = min(per_block, total - start)
+        flat = itertools.chain.from_iterable(itertools.islice(combos, rows))
+        yield np.fromiter(flat, dtype=int, count=rows * size).reshape(rows, size)
 
 
 def stop_set_table(m: int, size: int, n: int, kernel) -> tuple[np.ndarray, np.ndarray]:

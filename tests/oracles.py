@@ -53,6 +53,16 @@ def naive_agent_cost(instance, i, stops) -> float:
     return best
 
 
+def ratios_five_where(cy: np.ndarray, ct: np.ndarray) -> np.ndarray:
+    """The verifiers' earlier ratio table, each convention spelled out:
+    ``0/0 -> 1``, ``x/0 -> inf``, ``x/inf -> 0``, ``inf/inf -> 1``."""
+    cy, ct = np.broadcast_arrays(np.asarray(cy, dtype=float), np.asarray(ct, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = cy / ct
+    out = np.where(ct == 0.0, np.where(cy == 0.0, 1.0, INF), out)
+    return np.where(np.isinf(ct), np.where(np.isinf(cy), 1.0, 0.0), out)
+
+
 def _ratio(cy: float, ct: float) -> float:
     if ct == 0.0:
         return 1.0 if cy == 0.0 else INF

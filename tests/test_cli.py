@@ -378,6 +378,36 @@ def test_experiment_bad_args_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("algs", ["hybridzz", "gc,hybrid0.5", "hybrid_0.3"])
+def test_experiment_rejects_malformed_hybrid_token(tmp_path, capsys, algs):
+    # Only "hybrid" and "hybrid:<lam>" name the hybrid sweep.
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(capsys, "experiment", "--out", str(out), "--algs", algs)
+    assert code == 2 and repr(algs.split(",")[-1]) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ks", ["5", "2,5"])
+def test_experiment_budget_above_m_exits_2(tmp_path, capsys, ks):
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(
+        capsys, "experiment", "--out", str(out), "--n", "10", "--m", "3", "--k", ks
+    )
+    assert code == 2 and "--k" in err and "5" in err
+    assert not out.exists()
+    # A budget equal to --m still runs.
+    code, _, _ = run_cli(
+        capsys, "experiment", "--out", str(out), "--n", "10", "--m", "3", "--k", "2,3",
+        "--algs", "hybrid", "--rounds", "1",
+    )
+    assert code == 0
+    with open(out) as fh:
+        fh.readline()
+        rows = list(csv.DictReader(fh))
+    assert [(row["k"], row["algorithm"]) for row in rows] == [("2", "hybrid:0.5"),
+                                                             ("3", "hybrid:0.5")]
+
+
 @pytest.mark.parametrize("factor", ["nan", "inf", "-1"])
 def test_experiment_bad_transit_factor_exit_2(tmp_path, capsys, factor):
     out = tmp_path / "x.csv"

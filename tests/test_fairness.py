@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import fairstops as fs
 from conftest import grid_instances
-from oracles import brute_jr_factor, brute_pf_factor
+from oracles import brute_jr_factor, brute_pf_factor, ratios_five_where
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -365,6 +365,42 @@ def test_ratio_conventions():
     ct = np.array([0.0, 0.0, INF, INF, 2.0, 2.0])
     out = _ratios(cy, ct)
     assert out.tolist() == [1.0, INF, 0.0, 1.0, INF, 2.0]
+
+
+def test_ratios_equal_five_where_reference():
+    # Broadcast a cost vector against a (targets, agents) table, as the
+    # verifiers do, with 0, inf, equal and distinct finite entries mixed in.
+    from fairstops.fairness import _ratios
+
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        n = int(rng.integers(1, 40))
+        pool = np.array([0.0, INF, 1.0, 2.5, rng.uniform(0, 3)])
+        cy = np.where(rng.random(n) < 0.5, rng.choice(pool, n), rng.uniform(0, 3, n))
+        ct = np.where(rng.random((6, n)) < 0.5, rng.choice(pool, (6, n)), rng.uniform(0, 3, (6, n)))
+        ct[0] = cy
+        got, want = _ratios(cy, ct), ratios_five_where(cy, ct)
+        assert got.shape == want.shape == ct.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_negative_zero_distances_read_as_zero():
+    # Both agents ride free between stops on their endpoints (distance 0,
+    # written as -0.0 in one twin) but pay 2 under the placement (2,).  A
+    # negative-zero target cost must not divide as -inf and hide the gain.
+    xs = np.array([0.0, 2.0, 0.0, 2.0, 0.0, 2.0, 1.0])  # a0 b0 a1 b1 and three stops
+    d = np.abs(xs[:, None] - xs[None, :])
+    reports = []
+    for zero in (0.0, -0.0):
+        inst = fs.Instance(endpoints=np.arange(4).reshape(2, 2), candidates=np.array([4, 5, 6]),
+                           walk=fs.Metric(np.where(d == 0, zero, d)),
+                           transit=fs.Metric(np.full((3, 3), zero)), k=2)
+        assert fs.validate_instance(inst) == []
+        reports.append([fs.jr_ratio(inst, (2,)), fs.core_ratio(inst, (2,), 1),
+                        fs.core_ratio(inst, (2,), 1, backend="milp"),
+                        fs.pf_ratio(fs.induce_clustering(inst), (2,))])
+    assert reports[0] == reports[1]
+    assert all(report.factor == INF for report in reports[1])
 
 
 def test_verifiers_reject_nan_factor(table5):

@@ -195,6 +195,15 @@ def test_costs_bit_exact_against_loop_oracle(corpus, corpus_random_transit):
     # The loop oracle adds (walk in + ride) + walk out and takes the minimum
     # with the walk, so equal bits pin the kernel's sum order.
     cases = corpus[:20] + corpus_random_transit[:20] + [inst for _, inst in family_instances()]
+    # A transit with a nonzero diagonal and asymmetric rides: the kernel
+    # reads each stop's own ride c -> c, and each direction of a pair.  The
+    # direct walks are cut, so no route hides under the walk cap.
+    base = fs.random_euclidean(12, 6, 3, 5, transit="random")
+    ride = base.transit.dist + np.random.default_rng(5).uniform(0.0, 0.3, (base.m, base.m))
+    walk = base.walk.dist.copy()
+    walk[tuple(base.endpoints.T)] = walk[tuple(base.endpoints.T[::-1])] = INF
+    cases.append(fs.Instance(endpoints=base.endpoints, candidates=base.candidates,
+                             walk=fs.Metric(walk), transit=fs.Metric(ride), k=base.k))
     for inst in cases:
         placements = [(), tuple(range(0, inst.m, 2)), tuple(range(inst.m))]
         tables = [(placement, fs.solution_costs(inst, placement)) for placement in placements]
