@@ -13,7 +13,6 @@ from .algorithms import (
     GC_CORE_ALPHA,
     GC_CORE_BETA,
     GC_JR_FACTOR,
-    EnumerationGuardError,
     HybridParams,
     LineClusteringInstance,
     eca,
@@ -51,6 +50,7 @@ from .instances import (
 from .model import (
     INF,
     ClusteringInstance,
+    EnumerationGuardError,
     Instance,
     Metric,
     RunTrace,

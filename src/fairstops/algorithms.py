@@ -49,16 +49,13 @@ from .model import (
     RunTrace,
     Solution,
     TraceEvent,
+    check_stop_sets,
     induce_clustering,
     route_costs,
     solution_costs,
     stop_set_table,
     stop_sets,
 )
-
-
-class EnumerationGuardError(RuntimeError):
-    """Raised when an exhaustive enumeration would exceed its size guard."""
 
 
 def coverage_threshold(n: int, k: int) -> int:
@@ -178,6 +175,8 @@ def _sweep(m: int, k: int, members: int, dist: np.ndarray | None = None, lam: fl
     """
     if cost is not None:  # before the division, so a bad instance's k = 0 raises its ValueError
         pairs, pair_costs = stop_set_table(m, 2, members // 2, cost)
+    if not members:  # nothing to serve, and a threshold of 0 picks no order statistic
+        return [], RunTrace(())
     thr = -(-members // k)
     live = np.ones(members, dtype=bool)
     chosen: list[int] = []
@@ -295,11 +294,8 @@ def greedy_capture(clustering: ClusteringInstance) -> tuple[tuple[int, ...], Run
     Returns the selected center indices in opening order and the trace over
     datapoint ids.
     """
-    n, m, kk = clustering.n, clustering.m, clustering.k
-    if not 1 <= kk <= m:
-        raise ValueError(f"invalid budget k={kk} for m={m}")
     dist = np.ascontiguousarray(clustering.point_center_dists().T)
-    chosen, trace = _sweep(m, kk, n, dist=dist)
+    chosen, trace = _sweep(clustering.m, clustering.k, clustering.n, dist=dist)
     return tuple(chosen), trace
 
 
@@ -486,19 +482,14 @@ def line_to_clustering(line: LineClusteringInstance) -> ClusteringInstance:
 # ---------------------------------------------------------------------------
 
 
-def exact_min_cost(instance: Instance, max_subsets: int = 1_000_000) -> tuple[Solution, float]:
+def exact_min_cost(instance: Instance) -> tuple[Solution, float]:
     """Brute-force minimum of total cost over all candidate subsets of size <= k.
 
     Ties prefer fewer stops, then the lexicographically smallest stop set.
-    Raises :class:`EnumerationGuardError` when the enumeration would exceed
-    ``max_subsets`` subsets.
+    Past ``MAX_STOP_SETS`` sets it raises ``EnumerationGuardError`` up front.
     """
     m, k = instance.m, instance.k
-    count = sum(math.comb(m, j) for j in range(k + 1))
-    if count > max_subsets:
-        raise EnumerationGuardError(
-            f"{count} subsets exceed the max_subsets guard of {max_subsets}"
-        )
+    check_stop_sets(m, range(k + 1))
     best_cost, best_stops = INF, ()
     for size in range(k + 1):
         for block in stop_sets(m, size, instance.n):

@@ -18,7 +18,6 @@ from . import __version__
 from .algorithms import (
     ECA_JR_FACTOR,
     GC_JR_FACTOR,
-    EnumerationGuardError,
     eca,
     exact_min_cost,
     gc_trsp,
@@ -36,6 +35,7 @@ from .instances import (
     write_instance,
 )
 from .model import (
+    EnumerationGuardError,
     Instance,
     induce_clustering,
     solution_costs,
@@ -424,7 +424,7 @@ def _cmd_experiment(args) -> int:
                 )
                 t0 = time.perf_counter()
                 try:
-                    _, optimum = exact_min_cost(inst, max_subsets=args.max_subsets)
+                    _, optimum = exact_min_cost(inst)
                     row["total_cost"] = _fmt(optimum)
                 except EnumerationGuardError:
                     row["total_cost"] = "error"
@@ -501,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--transit", default="null", help="null | random | scaled:<factor>")
     exp.add_argument("--timing", action="store_true",
                      help="record wall times (breaks byte determinism)")
-    exp.add_argument("--max-subsets", type=int, default=200_000)
     exp.set_defaults(func=_cmd_experiment)
 
     ver = subs.add_parser("version", help="print the package version")

@@ -47,29 +47,22 @@ other check and every probe the counts settle leave scipy unloaded.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .algorithms import EnumerationGuardError, coverage_threshold
+from .algorithms import coverage_threshold
 from .model import (
     INF,
     RTOL,
     ClusteringInstance,
     Instance,
+    check_stop_sets,
     solution_costs,
     stop_set_table,
     stop_sets,
 )
-
-#: Default cap on the candidate count for exhaustive core enumeration.
-CORE_GUARD_M = 24
-
-#: Environment variable overriding :data:`CORE_GUARD_M`.
-CORE_GUARD_ENV = "FAIRSTOPS_CORE_GUARD_M"
-
 
 @dataclass(frozen=True)
 class Witness:
@@ -166,11 +159,6 @@ def _pair_ratios(instance: Instance, cy: np.ndarray):
                           lambda pairs: _ratios(cy, solution_costs(instance, pairs)))
 
 
-def _core_guard_limit() -> int:
-    raw = os.environ.get(CORE_GUARD_ENV)
-    return int(raw) if raw else CORE_GUARD_M
-
-
 def _as_alpha(alpha) -> Fraction:
     frac = Fraction(alpha)
     if frac < 1:
@@ -242,8 +230,9 @@ def core_violation(
     (checked by exact integer cross-multiplication with rational ``alpha``)
     and every member reaches a factor-``beta`` gain on ``T``.  Only
     ``|T| <= floor(k/alpha)`` can ever satisfy the size requirement, so the
-    enumeration stops there.  The ``"milp"`` backend solves an equivalent 0/1
-    integer program instead of enumerating.
+    enumeration stops there; past ``MAX_STOP_SETS`` (2**24) such targets it
+    raises ``EnumerationGuardError`` before listing any.  The ``"milp"``
+    backend solves an equivalent 0/1 integer program, with no such limit.
     """
     return _core(instance, solution, alpha, _check_factor(beta, "beta"), backend)
 
@@ -257,7 +246,8 @@ def core_ratio(
     largest ratio ``c_i(Y)/c_i(T)`` where ``s`` is the smallest coalition size
     satisfying ``s * k >= alpha * |T| * n``; the report's factor is the
     maximum over targets.  Reported as ``inf`` when some target serves a
-    blocking coalition at zero cost while the solution does not.
+    blocking coalition at zero cost while the solution does not.  Enumeration
+    is limited as in :func:`core_violation`.
     """
     return _core(instance, solution, alpha, None, backend)
 
@@ -269,16 +259,12 @@ def _core(instance: Instance, solution, alpha, beta: float | None, backend: str)
     if backend not in ("enumerate", "milp"):
         raise ValueError(f"unknown backend {backend!r}")
     n, m, k = instance.n, instance.m, instance.k
-    if backend == "enumerate" and m > _core_guard_limit():
-        raise EnumerationGuardError(
-            f"core enumeration over m={m} candidates exceeds the guard "
-            f"({_core_guard_limit()}); set {CORE_GUARD_ENV} to raise it"
-        )
     cy = solution_costs(instance, solution)
     if backend == "milp":
         return _core_milp(instance, cy, alpha, beta)
     p, q = alpha.numerator, alpha.denominator
     needs = {size: -(-p * size * n // (k * q)) for size in range(1, min(m, k * q // p) + 1)}
+    check_stop_sets(m, [size for size, need in needs.items() if 0 < need <= n])
     witness = _search(cy, _targets(instance, needs), beta)
     return witness if beta is not None else _report("CORE", alpha, witness)
 
@@ -405,7 +391,7 @@ def _pf(clustering: ClusteringInstance, centers, rho: float | None) -> Witness |
         raise ValueError("center index out of range")
     if len(chosen) > clustering.k:
         raise ValueError(f"{len(chosen)} centers exceed budget k={clustering.k}")
-    if clustering.n == 0 or clustering.m == 0:
+    if clustering.n == 0:
         return None
     d = clustering.point_center_dists()
     dP = d[:, chosen].min(axis=1) if chosen else np.full(clustering.n, INF)

@@ -638,6 +638,9 @@ def read_instance(path) -> Instance:
         if fieldname not in doc:
             raise InstanceParseError(f"{path}: missing field '{fieldname}'")
     n, m, k, p = (_int(doc[key], key) for key in ("n", "m", "k", "points"))
+    for fieldname, count in (("n", n), ("m", m), ("points", p)):
+        if count < 0:
+            raise InstanceParseError(f"{path}: field '{fieldname}' must be >= 0, got {count}")
     endpoints = doc["endpoints"]
     if not isinstance(endpoints, list) or len(endpoints) != n:
         raise InstanceParseError(f"{path}: field 'endpoints' must list {n} pairs")

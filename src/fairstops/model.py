@@ -33,6 +33,13 @@ RTOL = 1e-12
 #: Floats one block of :func:`stop_sets` may take in the route-cost kernel (8 MB).
 BLOCK_FLOATS = 1 << 20
 
+#: Most stop sets one guarded exhaustive search may list (:func:`check_stop_sets`).
+MAX_STOP_SETS = 2**24
+
+
+class EnumerationGuardError(RuntimeError):
+    """Raised when an exhaustive search would list more than :data:`MAX_STOP_SETS` stop sets."""
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, copy=True)
@@ -269,6 +276,8 @@ class ClusteringInstance:
         object.__setattr__(self, "centers", _readonly(ce))
         object.__setattr__(self, "k", int(self.k))
         p = self.dist.size
+        if not 1 <= self.k <= len(ce):
+            raise ValueError(f"budget k={self.k} outside [1, m={len(ce)}]")
         for name, idx in (("datapoints", dp), ("centers", ce)):
             if idx.size and (idx.min() < 0 or idx.max() >= p):
                 raise ValueError(f"{name} index out of range [0, {p})")
@@ -411,6 +420,16 @@ def stop_sets(m: int, size: int, n: int):
         rows = min(per_block, total - start)
         flat = itertools.chain.from_iterable(itertools.islice(combos, rows))
         yield np.fromiter(flat, dtype=int, count=rows * size).reshape(rows, size)
+
+
+def check_stop_sets(m: int, sizes) -> None:
+    """Raise :class:`EnumerationGuardError` if the ``m`` candidates have more
+    than :data:`MAX_STOP_SETS` subsets of the given ``sizes``; only counts."""
+    count = sum(math.comb(m, size) for size in sizes)
+    if count > MAX_STOP_SETS:
+        raise EnumerationGuardError(
+            f"an exhaustive search over {count} stop sets exceeds the limit of {MAX_STOP_SETS}"
+        )
 
 
 def stop_set_table(m: int, size: int, n: int, kernel) -> tuple[np.ndarray, np.ndarray]:

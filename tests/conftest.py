@@ -72,6 +72,9 @@ def grid_instances(draw):
 #: Each must fail to read with an error naming the field.
 BAD_FIELD_VALUES = [
     pytest.param("n", None, "abc", id="n-str"),
+    pytest.param("n", None, -1, id="n-negative"),
+    pytest.param("m", None, -1, id="m-negative"),
+    pytest.param("points", None, -2, id="points-negative"),
     pytest.param("k", None, 1.7, id="k-float"),
     pytest.param("k", None, True, id="k-bool"),
     pytest.param("walk", 1, [0.5], id="walk-list"),

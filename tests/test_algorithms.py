@@ -465,9 +465,24 @@ def test_exact_min_cost_empty_instance():
 
 
 def test_exact_min_cost_guard():
-    inst = fs.random_euclidean(3, 10, 5, seed=0)
-    with pytest.raises(fs.EnumerationGuardError):
-        fs.exact_min_cost(inst, max_subsets=10)
+    # sum(C(30, s) for s in 0..10) = 53 009 102 stop sets, over the limit.
+    inst = fs.random_euclidean(3, 30, 10, seed=0)
+    with pytest.raises(fs.EnumerationGuardError, match="53009102 stop sets"):
+        fs.exact_min_cost(inst)
+
+
+def test_sweeps_without_agents_open_nothing():
+    for transit in (np.zeros((2, 2)), np.array([[0.0, 2.0], [2.0, 0.0]])):
+        inst = fs.Instance(
+            endpoints=np.zeros((0, 2), dtype=int),
+            candidates=np.array([0, 1]),
+            walk=fs.Metric(np.array([[0.0, 1.0], [1.0, 0.0]])),
+            transit=fs.Metric(transit),
+            k=1,
+        )
+        for sweep in (fs.gc_trsp, fs.eca, lambda i: fs.hybrid(i, 0.5)):
+            sol, trace = sweep(inst)
+            assert sol.stops == () and trace.events == ()
 
 
 def assert_min_cost_matches_loop(inst, label):

@@ -157,6 +157,18 @@ def test_unreadable_value_exits_2(tmp_path, capsys, field, index, value):
     assert f"'{field}'" in err
 
 
+def test_negative_point_count_exits_2(tmp_path, capsys):
+    # With "points": -2 a one-entry walk has the length the count implies.
+    path = tmp_path / "bad.json"
+    write_bad_field_value(path, "points", None, -2)
+    doc = json.loads(path.read_text())
+    doc["walk"] = [0]
+    path.write_text(json.dumps(doc))
+    code, stdout, err = run_cli(capsys, "run", "--instance", str(path), "--alg", "gc")
+    assert code == 2 and stdout == ""
+    assert "'points'" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -206,16 +218,17 @@ def test_verify_zero_cost_solution_holds_everywhere(tmp_path, capsys):
         assert code == 0
 
 
-def test_verify_core_guard_exits_3(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("FAIRSTOPS_CORE_GUARD_M", raising=False)
-    inst = fs.random_euclidean(3, 25, 4, seed=0)
+def test_verify_core_guard_exits_3(tmp_path, capsys):
+    # m=40, k=12 at alpha 1 lists sum(C(40, s) for s in 1..12) stop sets.
+    inst = fs.random_euclidean(3, 40, 12, seed=0)
     path = tmp_path / "big.json"
     fs.write_instance(inst, path)
     code, _, err = run_cli(
-        capsys, "verify", "--instance", str(path), "--solution", "0", "--prop", "core"
+        capsys, "verify", "--instance", str(path), "--solution", "0", "--prop", "core",
+        "--alpha", "1",
     )
     assert code == 3
-    assert "FAIRSTOPS_CORE_GUARD_M" in err
+    assert "9119901051 stop sets" in err and str(2**24) in err
 
 
 def test_verify_milp_without_scipy_exits_2(tmp_path, capsys, monkeypatch):
@@ -346,8 +359,8 @@ def test_experiment_records_partial_failures_per_row(tmp_path, capsys):
     out = tmp_path / "guard.csv"
     code, _, _ = run_cli(
         capsys,
-        "experiment", "--out", str(out), "--rounds", "1", "--n", "3", "--m", "26",
-        "--k", "3", "--algs", "gc", "--checks", "jr,core",
+        "experiment", "--out", str(out), "--rounds", "1", "--n", "3", "--m", "40",
+        "--k", "12", "--algs", "gc", "--checks", "jr,core", "--alpha", "1",
     )
     assert code == 0  # the run continues; the failing cell is marked
     with open(out) as fh:

@@ -184,12 +184,26 @@ def test_core_ratio_one_when_optimum_is_free():
     assert fs.core_ratio(inst, sol, 1).factor == 1.0
 
 
-def test_core_guard_and_env_override(monkeypatch):
+def test_core_guard_counts_stop_sets():
+    # m=25, k=4 at alpha 2 lists 25 + 300 = 325 stop sets: far under the limit.
     inst = fs.random_euclidean(3, 25, 4, seed=0)
-    with pytest.raises(fs.EnumerationGuardError):
-        fs.core_violation(inst, (0,), 2, 1.0)
-    monkeypatch.setenv("FAIRSTOPS_CORE_GUARD_M", "30")
+    witness = fs.core_violation(inst, (0,), 2, 1.0)
+    assert (witness is None) == (fs.core_ratio(inst, (0,), 2).factor == 1.0)
     assert fs.core_violation(inst, tuple(range(4)), 2, 1000.0) is None
+    # m=40, k=12 at alpha 1 lists 9 119 901 051; the count refuses it up front.
+    big = fs.random_euclidean(3, 40, 12, seed=0)
+    with pytest.raises(fs.EnumerationGuardError, match="9119901051 stop sets"):
+        fs.core_ratio(big, (0,), 1)
+    # The branch-and-bound backend lists no stop sets and is not limited.
+    assert fs.core_violation(big, (0,), 1, 1000.0, backend="milp") is None
+
+
+def test_stop_set_limit_is_inclusive():
+    fs.model.check_stop_sets(fs.model.MAX_STOP_SETS, [1])
+    with pytest.raises(fs.EnumerationGuardError, match=str(fs.model.MAX_STOP_SETS + 1)):
+        fs.model.check_stop_sets(fs.model.MAX_STOP_SETS + 1, [1])
+    # All subsets of 24 candidates, sizes 0 to 24, are 2**24 sets: still admitted.
+    fs.model.check_stop_sets(24, range(25))
 
 
 def test_core_milp_backend_matches_pinned_cases(table4, kz3):

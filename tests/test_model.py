@@ -231,8 +231,9 @@ def test_out_of_range_stops_raise():
 
 
 def test_route_cost_block_stays_near_budget():
-    # stop_sets sizes a block by what the kernel holds at once: the two walk
-    # gathers and the routes.  The (units, agents) result adds an eighth.
+    # stop_sets sizes a block by what the kernel holds at once under a
+    # transit metric: the off-diagonal routes, one walk-out gather and the
+    # (units, agents) result, so a block peaks near BLOCK_FLOATS floats.
     inst = fs.random_euclidean(1000, 60, 8, 0, transit="random")
     for size in (2, 3):
         block = next(model.stop_sets(inst.m, size, inst.n))
@@ -379,6 +380,9 @@ def test_clustering_instance_rejects_out_of_range_indices():
         points = {"datapoints": [0, 1], "centers": [1, 2], field: [0, bad]}
         with pytest.raises(ValueError, match=rf"{field} index out of range \[0, 3\)"):
             fs.ClusteringInstance(dist=dist, k=1, **points)
+    for k in (0, 3):
+        with pytest.raises(ValueError, match=rf"budget k={k} outside \[1, m=2\]"):
+            fs.ClusteringInstance(datapoints=[0, 1], centers=[1, 2], dist=dist, k=k)
 
 
 def test_clustering_to_trsp_structure():
