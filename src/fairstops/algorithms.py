@@ -291,11 +291,13 @@ def gc_trsp(instance: Instance) -> tuple[Solution, RunTrace]:
 def greedy_capture(clustering: ClusteringInstance) -> tuple[tuple[int, ...], RunTrace]:
     """Greedy capture on a clustering instance, as a trigger-queue simulation.
 
-    Returns the selected center indices in opening order and the trace over
+    The single-stop side is the instance's own stops-first table,
+    :meth:`~fairstops.model.ClusteringInstance.center_point_dists`.  Returns
+    the selected center indices in opening order and the trace over
     datapoint ids.
     """
-    dist = np.ascontiguousarray(clustering.point_center_dists().T)
-    chosen, trace = _sweep(clustering.m, clustering.k, clustering.n, dist=dist)
+    chosen, trace = _sweep(clustering.m, clustering.k, clustering.n,
+                           dist=clustering.center_point_dists())
     return tuple(chosen), trace
 
 
@@ -354,10 +356,13 @@ def hybrid(instance: Instance, params: HybridParams | float) -> tuple[Solution, 
     from every selected stop, which would void the sweep's distance guarantee
     on the induced clustering and with it the core guarantee.  Costs reported
     for the returned placement still include walking.
+
+    The ball side reads the induced clustering's stops-first table, the one
+    :func:`gc_trsp` sweeps.
     """
     if not isinstance(params, HybridParams):
         params = HybridParams(float(params))
-    dist = np.ascontiguousarray(instance.endpoint_candidate_dists().T)
+    dist = induce_clustering(instance).center_point_dists()
     chosen, trace = _sweep(instance.m, instance.k, 2 * instance.n, dist=dist, lam=params.lam,
                            cost=lambda units: route_costs(instance, units))
     return Solution.of(chosen), trace
@@ -394,35 +399,31 @@ class LineClusteringInstance:
         return len(self.datapoints)
 
 
+def _nearest_free(dists: np.ndarray, free: np.ndarray) -> int:
+    """The center in mask ``free`` nearest by ``dists``, ties to the lowest
+    index, which on the line is the leftmost."""
+    idx = free.nonzero()[0]
+    return int(idx[dists[idx].argmin()])
+
+
 def l_dictator_partition(line: LineClusteringInstance) -> tuple[int, ...]:
     """Let the ell-th datapoint of each block pick its nearest unselected center.
 
     Datapoints are split, in sorted order, into blocks of ``ceil(n/k)``; the
     ``ell``-th member of each block selects the closest center not already
-    chosen (ties go to the leftmost).  Returns sorted center indices; fewer
+    chosen (ties go to the leftmost), read from the line's
+    :func:`line_to_clustering` table.  Returns sorted center indices; fewer
     than ``k`` only when trailing blocks run out of datapoints.
     """
     n, kk, ell = line.n, line.k, line.ell
     if ell > n // kk:
         raise ValueError(f"ell={ell} exceeds floor(n/k)={n // kk}")
     block = -(-n // kk)
-    picked: list[int] = []
-    for b in range(kk):
-        j = b * block + (ell - 1)
-        if j >= n:
-            break
-        x = line.datapoints[j]
-        best: tuple[float, int] | None = None
-        for ci, c in enumerate(line.centers):
-            if ci in picked:
-                continue
-            dd = abs(x - c)
-            if best is None or dd < best[0]:
-                best = (dd, ci)
-        if best is None:
-            break
-        picked.append(best[1])
-    return tuple(sorted(picked))
+    d = line_to_clustering(line).center_point_dists()
+    free = np.ones(len(line.centers), dtype=bool)
+    for j in range(ell - 1, n, block)[:kk]:
+        free[_nearest_free(d[:, j], free)] = False
+    return _ids(~free)
 
 
 def line_sweep_baseline(line: LineClusteringInstance) -> tuple[int, ...]:
@@ -431,37 +432,20 @@ def line_sweep_baseline(line: LineClusteringInstance) -> tuple[int, ...]:
     Groups the sorted datapoints into blocks of ``ceil(n/k)`` and assigns each
     block the nearest unselected center at or to the right of its rightmost
     member (falling back to the overall nearest when none remains on the
-    right).  Kept only as a demonstrator: it can be arbitrarily unfair when
-    centers do not coincide with datapoints.
+    right), read from the line's :func:`line_to_clustering` table.  Kept only
+    as a demonstrator: it can be arbitrarily unfair when centers do not
+    coincide with datapoints.
     """
     n, kk = line.n, line.k
     block = -(-n // kk)
-    picked: list[int] = []
-    for b in range(kk):
-        lo = b * block
-        if lo >= n:
-            break
-        boundary = line.datapoints[min((b + 1) * block, n) - 1]
-        choice: int | None = None
-        for ci, c in enumerate(line.centers):
-            if ci in picked:
-                continue
-            if c >= boundary:
-                choice = ci
-                break
-        if choice is None:
-            best: tuple[float, int] | None = None
-            for ci, c in enumerate(line.centers):
-                if ci in picked:
-                    continue
-                dd = abs(boundary - c)
-                if best is None or dd < best[0]:
-                    best = (dd, ci)
-            if best is None:
-                break
-            choice = best[1]
-        picked.append(choice)
-    return tuple(sorted(picked))
+    d = line_to_clustering(line).center_point_dists()
+    centers = np.array(line.centers)
+    free = np.ones(len(centers), dtype=bool)
+    for lo in range(0, n, block)[:kk]:
+        last = min(lo + block, n) - 1
+        right = free & (centers >= line.datapoints[last])
+        free[_nearest_free(d[:, last], right if right.any() else free)] = False
+    return _ids(~free)
 
 
 def line_to_clustering(line: LineClusteringInstance) -> ClusteringInstance:

@@ -395,20 +395,20 @@ def _cmd_experiment(args) -> int:
                     "runtime_ms": "",
                 }
                 t0 = time.perf_counter()
-                try:
-                    solution, _ = _run_algorithm(inst, alg, lam)
-                    row["total_cost"] = _fmt(total_cost(inst, solution))
-                    if "jr" in checks:
-                        row["jr_factor"] = _fmt(jr_ratio(inst, solution).factor)
-                    if "core" in checks:
-                        row["core_alpha"] = str(alpha)
+                solution, _ = _run_algorithm(inst, alg, lam)
+                row["total_cost"] = _fmt(total_cost(inst, solution))
+                if "jr" in checks:
+                    row["jr_factor"] = _fmt(jr_ratio(inst, solution).factor)
+                if "core" in checks:
+                    row["core_alpha"] = str(alpha)
+                    try:
                         row["core_factor"] = _fmt(core_ratio(inst, solution, alpha).factor)
-                    if "pf" in checks:
-                        row["pf_factor"] = _fmt(
-                            pf_ratio(induce_clustering(inst), solution.stops).factor
-                        )
-                except EnumerationGuardError:
-                    row["core_factor"] = "error"
+                    except EnumerationGuardError:
+                        row["core_factor"] = "error"
+                if "pf" in checks:
+                    row["pf_factor"] = _fmt(
+                        pf_ratio(induce_clustering(inst), solution.stops).factor
+                    )
                 if args.timing:
                     row["runtime_ms"] = f"{(time.perf_counter() - t0) * 1e3:.3f}"
                 rows.append(row)
@@ -524,6 +524,11 @@ def main(argv=None) -> int:
     except EnumerationGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return GUARD_ERROR
+    except OSError as exc:
+        # Reads map their own errors (_load_instance), so this is an output
+        # file; exit 1 would read as a fairness witness.
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

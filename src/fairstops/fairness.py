@@ -58,6 +58,7 @@ from .model import (
     RTOL,
     ClusteringInstance,
     Instance,
+    as_stops,
     check_stop_sets,
     solution_costs,
     stop_set_table,
@@ -160,9 +161,12 @@ def _pair_ratios(instance: Instance, cy: np.ndarray):
 
 
 def _as_alpha(alpha) -> Fraction:
-    frac = Fraction(alpha)
-    if frac < 1:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    try:
+        frac = Fraction(alpha)
+    except (OverflowError, ValueError):  # inf and nan have no exact ratio
+        frac = None
+    if frac is None or frac < 1:
+        raise ValueError(f"alpha must be >= 1 and finite, got {alpha}")
     return frac
 
 
@@ -386,17 +390,20 @@ def _core_milp(instance, cy, alpha: Fraction, beta: float | None):
 
 
 def _pf(clustering: ClusteringInstance, centers, rho: float | None) -> Witness | None:
-    chosen = tuple(sorted(set(int(c) for c in centers)))
+    """PF as one block of single-center targets: the clustering's stops-first
+    table is the target cost table, and each datapoint's cost under the
+    selection is its column minimum over the chosen rows (INF when none)."""
+    chosen = as_stops(centers)
     if chosen and (chosen[0] < 0 or chosen[-1] >= clustering.m):
         raise ValueError("center index out of range")
     if len(chosen) > clustering.k:
         raise ValueError(f"{len(chosen)} centers exceed budget k={clustering.k}")
     if clustering.n == 0:
         return None
-    d = clustering.point_center_dists()
-    dP = d[:, chosen].min(axis=1) if chosen else np.full(clustering.n, INF)
+    d = clustering.center_point_dists()
     thr = -(-clustering.n // clustering.k)
-    return _search(dP, [(np.arange(clustering.m)[:, None], d.T, thr)], rho)
+    return _search(d[list(chosen)].min(axis=0, initial=INF),
+                   [(np.arange(clustering.m)[:, None], d, thr)], rho)
 
 
 def pf_violation(clustering: ClusteringInstance, centers, rho: float = 1.0) -> Witness | None:

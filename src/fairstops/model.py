@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -114,7 +115,7 @@ class Solution:
     stops: tuple[int, ...]
 
     def __post_init__(self):
-        stops = tuple(int(s) for s in self.stops)
+        stops = tuple(map(operator.index, self.stops))
         if any(b <= a for a, b in zip(stops, stops[1:])):
             raise ValueError(f"stops must be strictly increasing, got {stops}")
         object.__setattr__(self, "stops", stops)
@@ -122,7 +123,7 @@ class Solution:
     @classmethod
     def of(cls, stops: Iterable[int]) -> "Solution":
         """Build a solution from any iterable of candidate indices."""
-        return cls(tuple(sorted(set(int(s) for s in stops))))
+        return cls(as_stops(stops))
 
     def __len__(self) -> int:
         return len(self.stops)
@@ -135,10 +136,13 @@ class Solution:
 
 
 def as_stops(solution: "Solution | Iterable[int]") -> tuple[int, ...]:
-    """Normalize a :class:`Solution` or raw iterable into a sorted index tuple."""
+    """Normalize a :class:`Solution` or raw iterable into a sorted index tuple.
+
+    Indices convert by ``operator.index``, so numpy integers pass and a
+    float raises ``TypeError`` rather than being truncated."""
     if isinstance(solution, Solution):
         return solution.stops
-    return tuple(sorted(set(int(s) for s in solution)))
+    return tuple(sorted(set(map(operator.index, solution))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +181,6 @@ class Instance:
     # walk tables are stops first, (m, n): _d_ca[c, i] and _d_cb[c, i] are the
     # walks between stop c and a_i and b_i, and _d_cc[c, i] is agent i's route
     # boarding and alighting at c, (walk in + ride c->c) + walk out.
-    _ep_flat: np.ndarray = field(init=False, repr=False)
     _d_ca: np.ndarray = field(init=False, repr=False)
     _d_cb: np.ndarray = field(init=False, repr=False)
     _d_cc: np.ndarray = field(init=False, repr=False)
@@ -199,7 +202,6 @@ class Instance:
         if structure_problems(self):
             return
         d, (a, b) = self.walk.dist, ep.T
-        object.__setattr__(self, "_ep_flat", self.endpoints.reshape(-1))
         # Adding 0.0 turns a -0.0 distance into 0.0, so no cost is a negative
         # zero, which fairness._ratios would divide by as -inf.
         d_ca, d_cb = d.T[np.ix_(cand, a)] + 0.0, d.T[np.ix_(cand, b)] + 0.0
@@ -212,7 +214,7 @@ class Instance:
 
     def __getattr__(self, name):
         # Only reached for an attribute that was never set.
-        if name in ("_ep_flat", "_d_ca", "_d_cb", "_d_cc", "_d_ab"):
+        if name in ("_d_ca", "_d_cb", "_d_cc", "_d_ab"):
             require_valid_structure(self)
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
@@ -228,18 +230,6 @@ class Instance:
     def null_transit(self) -> bool:
         """True when every ride between candidate stops is free."""
         return self._null_transit
-
-    @property
-    def endpoint_points(self) -> np.ndarray:
-        """Point indices of all 2n endpoints, laid out as a_0, b_0, a_1, b_1, ..."""
-        return self._ep_flat
-
-    def endpoint_candidate_dists(self) -> np.ndarray:
-        """Walking distance from every endpoint (2n rows) to every candidate."""
-        out = np.empty((2 * self.n, self.m))
-        out[0::2] = self._d_ca.T
-        out[1::2] = self._d_cb.T
-        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Instance):
@@ -259,7 +249,10 @@ class ClusteringInstance:
     """A center-selection problem: datapoints, candidate centers, budget.
 
     ``datapoints`` is a multiset (repeated point indices are meaningful:
-    coincident agent endpoints each count toward coalition sizes).
+    coincident agent endpoints each count toward coalition sizes).  The
+    instance owns the one center-by-point distance table that greedy
+    capture, the hybrid's ball side, PF and the line rules read:
+    :meth:`center_point_dists`, stops first, ``(m, n')``.
     """
 
     datapoints: np.ndarray
@@ -267,7 +260,7 @@ class ClusteringInstance:
     dist: Metric
     k: int
 
-    _d_dc: np.ndarray = field(init=False, repr=False)
+    _d_cp: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         dp = np.asarray(self.datapoints, dtype=int).reshape(-1)
@@ -281,8 +274,9 @@ class ClusteringInstance:
         for name, idx in (("datapoints", dp), ("centers", ce)):
             if idx.size and (idx.min() < 0 or idx.max() >= p):
                 raise ValueError(f"{name} index out of range [0, {p})")
-        # + 0.0 as in Instance: no -0.0 distance reaches fairness._ratios.
-        object.__setattr__(self, "_d_dc", _readonly(self.dist.dist[np.ix_(dp, ce)] + 0.0))
+        # Entries read d[point, center], as Instance's walk tables do; + 0.0
+        # as in Instance: no -0.0 distance reaches fairness._ratios.
+        object.__setattr__(self, "_d_cp", _readonly(self.dist.dist.T[np.ix_(ce, dp)] + 0.0))
 
     @property
     def n(self) -> int:
@@ -292,9 +286,10 @@ class ClusteringInstance:
     def m(self) -> int:
         return self.centers.shape[0]
 
-    def point_center_dists(self) -> np.ndarray:
-        """Distance from every datapoint to every candidate center."""
-        return self._d_dc
+    def center_point_dists(self) -> np.ndarray:
+        """Distance from every datapoint to every candidate center, stops
+        first: entry ``[c, j]`` is ``dist[datapoints[j], centers[c]]``."""
+        return self._d_cp
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClusteringInstance):
@@ -495,9 +490,11 @@ def require_valid_structure(instance: Instance) -> None:
 
 
 def induce_clustering(instance: Instance) -> ClusteringInstance:
-    """Reinterpret all 2n agent endpoints as datapoints; keep centers and budget."""
+    """Reinterpret all 2n agent endpoints as datapoints, laid out as a_0, b_0,
+    a_1, b_1, ...; keep centers and budget."""
+    require_valid_structure(instance)
     return ClusteringInstance(
-        datapoints=instance.endpoint_points,
+        datapoints=instance.endpoints.reshape(-1),
         centers=instance.candidates,
         dist=instance.walk,
         k=instance.k,

@@ -11,7 +11,8 @@ The sweep references at the end are the library's earlier loop forms of
 share only the cost kernel with the library, which ``naive_agent_cost``
 checks on its own; the array sweeps must match them event for event.
 ``exact_min_cost_loop`` is likewise the earlier one-call-per-subset form of
-``exact_min_cost``.
+``exact_min_cost``, and ``l_dictator_loop`` and ``line_sweep_loop`` the
+earlier nearest-center loops of the two line rules, on raw coordinates.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def brute_pf_factor(clustering, centers) -> float:
     thr = -(-n // k)
     if n == 0 or thr > n:
         return 1.0
-    d = clustering.point_center_dists()
+    d = clustering.dist.dist[np.ix_(clustering.datapoints, clustering.centers)]
     dP = [min(float(d[i, c]) for c in centers) if centers else INF for i in range(n)]
     best = 1.0
     for c in range(m):
@@ -159,7 +160,7 @@ def gc_trsp_radius_pass(instance: Instance) -> tuple[Solution, RunTrace]:
     require_valid_structure(instance)
     n, m, k = instance.n, instance.m, instance.k
     thr = coverage_threshold(n, k)
-    d = instance.endpoint_candidate_dists()
+    d = instance.walk.dist[np.ix_(instance.endpoints.reshape(-1), instance.candidates)]
     active = set(range(2 * n))
     open_order: list[int] = []
     is_open = [False] * m
@@ -294,7 +295,7 @@ def hybrid_loop(instance: Instance, params: HybridParams | float) -> tuple[Solut
     thr = coverage_threshold(n, k)
     pairs = list(itertools.combinations(range(m), 2))
     pair_costs = {pair: route_costs(instance, pair) for pair in pairs}
-    d = instance.endpoint_candidate_dists()
+    d = instance.walk.dist[np.ix_(instance.endpoints.reshape(-1), instance.candidates)]
     ep_active = [True] * (2 * n)
     chosen: list[int] = []
     chosen_set: set[int] = set()
@@ -404,3 +405,65 @@ def hybrid_loop(instance: Instance, params: HybridParams | float) -> tuple[Solut
         # A retirement trigger can sit at or below r after openings; revisit.
         r = max(r, min(triggers))
     return Solution.of(chosen), RunTrace(tuple(events))
+
+
+# ---------------------------------------------------------------------------
+# Loop forms of the two line rules
+# ---------------------------------------------------------------------------
+
+
+def l_dictator_loop(line) -> tuple[int, ...]:
+    """The ell-th datapoint of each ``ceil(n/k)`` block picks the nearest
+    center not yet picked, by ``abs(x - c)``, ties to the leftmost."""
+    n, kk, ell = line.n, line.k, line.ell
+    block = -(-n // kk)
+    picked: list[int] = []
+    for b in range(kk):
+        j = b * block + (ell - 1)
+        if j >= n:
+            break
+        x = line.datapoints[j]
+        best: tuple[float, int] | None = None
+        for ci, c in enumerate(line.centers):
+            if ci in picked:
+                continue
+            dd = abs(x - c)
+            if best is None or dd < best[0]:
+                best = (dd, ci)
+        if best is None:
+            break
+        picked.append(best[1])
+    return tuple(sorted(picked))
+
+
+def line_sweep_loop(line) -> tuple[int, ...]:
+    """Each ``ceil(n/k)`` block takes the first free center at or right of
+    its last member, else the nearest free one, ties to the leftmost."""
+    n, kk = line.n, line.k
+    block = -(-n // kk)
+    picked: list[int] = []
+    for b in range(kk):
+        lo = b * block
+        if lo >= n:
+            break
+        boundary = line.datapoints[min((b + 1) * block, n) - 1]
+        choice: int | None = None
+        for ci, c in enumerate(line.centers):
+            if ci in picked:
+                continue
+            if c >= boundary:
+                choice = ci
+                break
+        if choice is None:
+            best: tuple[float, int] | None = None
+            for ci, c in enumerate(line.centers):
+                if ci in picked:
+                    continue
+                dd = abs(boundary - c)
+                if best is None or dd < best[0]:
+                    best = (dd, ci)
+            if best is None:
+                break
+            choice = best[1]
+        picked.append(choice)
+    return tuple(sorted(picked))

@@ -16,6 +16,8 @@ from oracles import (
     exact_min_cost_loop,
     gc_trsp_radius_pass,
     hybrid_loop,
+    l_dictator_loop,
+    line_sweep_loop,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -413,6 +415,24 @@ def test_single_block_last_rank():
 def test_sweep_single_budget():
     line = fs.LineClusteringInstance(datapoints=(1.0, 2.0), centers=(0.0, 3.0), k=1, ell=1)
     assert [line.centers[i] for i in fs.line_sweep_baseline(line)] == [3.0]
+
+
+@pytest.mark.parametrize("grid", [True, False], ids=["integer-grid", "uniform"])
+def test_line_rules_match_loop_oracles(grid):
+    # Integer coordinates make distance ties and coincident centers common.
+    rng = np.random.default_rng(5)
+    checked = 0
+    for _ in range(300):
+        n, m = int(rng.integers(1, 13)), int(rng.integers(1, 8))
+        k = int(rng.integers(1, min(n, m) + 1))
+        dp, ce = ((rng.integers(-4, 5, size) if grid else rng.uniform(-4.0, 4.0, size)).tolist()
+                  for size in (n, m))
+        for ell in range(1, n // k + 1):
+            line = fs.LineClusteringInstance(datapoints=dp, centers=ce, k=k, ell=ell)
+            assert fs.l_dictator_partition(line) == l_dictator_loop(line)
+            assert fs.line_sweep_baseline(line) == line_sweep_loop(line)
+            checked += 1
+    assert checked > 500
 
 
 def test_dictator_rank_validation():

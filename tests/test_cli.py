@@ -114,6 +114,22 @@ def test_run_writes_trace(tmp_path, capsys):
     assert radii == sorted(radii)
 
 
+@pytest.mark.parametrize("command", ["gen", "run", "experiment"])
+def test_unwritable_output_exits_2(tmp_path, capsys, command):
+    # Exit 1 means "witness found", so a failed write must not end with it.
+    inst_path = tmp_path / "t5.json"
+    fs.write_instance(fs.generate("table5", eps=0.01), inst_path)
+    out = tmp_path / "missing" / "out.json"
+    argv = {
+        "gen": ["gen", "--family", "table5", "--out", str(out)],
+        "run": ["run", "--instance", str(inst_path), "--alg", "gc", "--trace", str(out)],
+        "experiment": ["experiment", "--out", str(out), "--n", "4", "--m", "4", "--k", "2"],
+    }[command]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert str(out) in err
+
+
 def test_run_missing_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "run", "--instance", "/nonexistent.json", "--alg", "gc")
     assert code == 2
@@ -360,7 +376,7 @@ def test_experiment_records_partial_failures_per_row(tmp_path, capsys):
     code, _, _ = run_cli(
         capsys,
         "experiment", "--out", str(out), "--rounds", "1", "--n", "3", "--m", "40",
-        "--k", "12", "--algs", "gc", "--checks", "jr,core", "--alpha", "1",
+        "--k", "12", "--algs", "gc", "--checks", "jr,core,pf", "--alpha", "1",
     )
     assert code == 0  # the run continues; the failing cell is marked
     with open(out) as fh:
@@ -368,6 +384,7 @@ def test_experiment_records_partial_failures_per_row(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert rows[0]["core_factor"] == "error"
     assert float(rows[0]["jr_factor"]) >= 1.0
+    assert float(rows[0]["pf_factor"]) >= 1.0
 
 
 def test_experiment_bad_args_exit_2(tmp_path, capsys):

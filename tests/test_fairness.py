@@ -427,9 +427,26 @@ def test_verifiers_reject_nan_factor(table5):
         lambda: fs.core_violation(inst, sol, 2, nan, backend="milp"),
         lambda: fs.pf_violation(clustering, sol.stops, nan),
         lambda: fs.improving_pairs(inst, 0, sol, nan),
+        lambda: fs.core_ratio(inst, sol, nan),
+        lambda: fs.core_ratio(inst, sol, INF),
     ):
         with pytest.raises(ValueError, match="must be >= 1"):
             call()
+
+
+def test_non_integer_stop_indices_are_refused():
+    # A float index used to be truncated, so (0.7,) silently evaluated stop 0.
+    inst = fs.random_euclidean(8, 5, 2, 0)
+    for call in (
+        lambda: fs.jr_ratio(inst, (0.7,)),
+        lambda: fs.core_ratio(inst, (0.7,), 2),
+        lambda: fs.pf_ratio(fs.induce_clustering(inst), (0.7,)),
+        lambda: fs.Solution.of((0.7,)),
+        lambda: fs.Solution((0.7,)),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    assert fs.jr_ratio(inst, (np.int64(0),)) == fs.jr_ratio(inst, (0,))
 
 
 @pytest.mark.parametrize("field", ["k", "endpoint"])
@@ -459,7 +476,6 @@ def test_verifiers_reject_structurally_invalid_instances(field):
         lambda: fs.gc_trsp(inst),
         lambda: fs.eca(inst),
         lambda: fs.hybrid(inst, 0.5),
-        lambda: inst.endpoint_candidate_dists(),
     ):
         with pytest.raises(ValueError, match="k=9" if field == "k" else "endpoint index"):
             call()
@@ -479,7 +495,7 @@ def verifier(name, inst, stops, alpha):
     """``(report, violation at beta, costs under a stop set, threshold of a target)``."""
     if name == "pf":
         clustering = fs.induce_clustering(inst)
-        d = clustering.point_center_dists()
+        d = clustering.center_point_dists().T
         return (
             fs.pf_ratio(clustering, stops),
             lambda beta: fs.pf_violation(clustering, stops, beta),

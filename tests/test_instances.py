@@ -186,7 +186,7 @@ def test_decoy_stops_never_appear_in_witnesses():
         ("hybrid-core-tight", {"lam": 0.5, "eps": 0.01, "delta": 0.5}, lambda i: fs.hybrid(i, 0.5)),
     ):
         inst = fs.generate(family, **params)
-        eps_points = inst.endpoint_points
+        eps_points = inst.endpoints.reshape(-1)
         decoys = {
             j
             for j in range(inst.m)

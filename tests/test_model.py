@@ -374,6 +374,24 @@ def test_induced_clustering_keeps_coincident_endpoints():
     assert clustering.datapoints.tolist() == [0, 0]
 
 
+def test_induced_table_is_walk_gather_stops_first(corpus, corpus_random_transit):
+    # The one table greedy capture, the hybrid's ball side and PF read: entry
+    # [c, j] is the walk from datapoint j to center c, bit for bit, also on
+    # a walk matrix that is asymmetric on purpose (it still builds).
+    base = fs.random_euclidean(5, 4, 2, 0)
+    skew = base.walk.dist + np.triu(np.full(base.walk.dist.shape, 0.25), 1)
+    lopsided = fs.Instance(endpoints=base.endpoints, candidates=base.candidates,
+                           walk=fs.Metric(skew), transit=base.transit, k=base.k)
+    assert fs.validate_instance(lopsided)  # asymmetry is reported, not refused
+    instances = [*corpus, *corpus_random_transit, *(inst for _, inst in family_instances()),
+                 lopsided]
+    for inst in instances:
+        table = fs.induce_clustering(inst).center_point_dists()
+        gather = inst.walk.dist[np.ix_(inst.endpoints.reshape(-1), inst.candidates)].T
+        assert table.shape == (inst.m, 2 * inst.n)
+        assert table.tobytes() == gather.tobytes()
+
+
 def test_clustering_instance_rejects_out_of_range_indices():
     dist = fs.Metric(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]))
     for field, bad in (("datapoints", -1), ("datapoints", 3), ("centers", -1), ("centers", 3)):
