@@ -35,7 +35,6 @@ identical solutions and traces, and every trace radius is a Python float.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -49,6 +48,7 @@ from .model import (
     RunTrace,
     Solution,
     TraceEvent,
+    _readonly,
     check_stop_sets,
     induce_clustering,
     route_costs,
@@ -95,8 +95,8 @@ def _ids(mask: np.ndarray) -> tuple[int, ...]:
 
 
 def _first(mask: np.ndarray) -> int | None:
-    """Index of the first true entry of ``mask``, or None."""
-    return int(mask.argmax()) if mask.any() else None
+    """Index of the first true entry of ``mask``, or None, in one pass."""
+    return i if mask.size and mask[i := int(mask.argmax())] else None
 
 
 def _kth(table: np.ndarray, thr: int) -> np.ndarray:
@@ -167,11 +167,16 @@ def _sweep(m: int, k: int, members: int, dist: np.ndarray | None = None, lam: fl
     stop opens, keys only rise and eligibility only shrinks, so nothing
     opens below ``bound`` and every retirement up to it is known in closed
     form: agent ``i`` at ``max(r, costs[i])`` if that is no later than both
-    its endpoints, else each endpoint alone at ``max(r, bump(near))``.
+    its endpoints, else each endpoint alone at ``max(r, due)``.
     ``retire`` emits them in the order the pass-by-pass loop would, and the
     sweep moves on to ``bound`` itself.  A radius where nothing is due
     leaves no event, so landing on ``bound`` after its key has risen is
     harmless.
+
+    The other derived state is carried across passes too: ``drop`` refreshes
+    ``full``, the agents with both endpoints live, and ``add``, once per
+    opening, refreshes ``near`` (each member's distance to the selection)
+    with its bump ``due``, the agents' ``costs`` and ``eligible``.
     """
     if cost is not None:  # before the division, so a bad instance's k = 0 raises its ValueError
         pairs, pair_costs = stop_set_table(m, 2, members // 2, cost)
@@ -184,50 +189,68 @@ def _sweep(m: int, k: int, members: int, dist: np.ndarray | None = None, lam: fl
     events: list[TraceEvent] = []
     r = bound = 0.0
     if cost is not None:
-        agent_eps = live.reshape(-1, 2)  # view: row i is agent i's two endpoints
+        full = live[::2].copy()
         pair_key = _kth(pair_costs, thr)
         costs = cost(chosen)
+        eligible = _eligible_pairs(pairs, is_chosen, k)
     if dist is not None:
         stop_key = _kth(dist, thr)
+        near, due = np.full(members, INF), np.full(members, INF)
 
-    def near() -> np.ndarray:
-        return dist[chosen].min(axis=0) if chosen else np.full(members, INF)
+    def add(unit) -> tuple[int, ...]:
+        """Open the unit's stops not yet chosen and refresh what they change."""
+        nonlocal due, costs, eligible
+        extra = _open(unit, chosen, is_chosen)
+        if dist is not None:
+            for c in extra:
+                np.minimum(near, dist[c], out=near)
+            due = _bump_until(near, lam)
+        if cost is not None:
+            costs = cost(chosen)
+            eligible = _eligible_pairs(pairs, is_chosen, k - len(chosen))
+        return extra
 
     def drop(gone: np.ndarray) -> None:
         """Retire the live members in mask ``gone`` and refresh both key caches."""
-        if cost is not None:
-            was = agent_eps.all(axis=1)
+        nonlocal full
         live[gone] = False
         if cost is not None:
-            full = agent_eps.all(axis=1)
-            _rekey(pair_key, pair_costs, (was & ~full).nonzero()[0], full.nonzero()[0], thr)
+            was, full = full, live[::2] & live[1::2]
+            _rekey(pair_key, pair_costs, (was > full).nonzero()[0], full.nonzero()[0], thr)
         if dist is not None:
             _rekey(stop_key, dist, gone.nonzero()[0], live.nonzero()[0], thr)
 
     def retire(upto: float) -> None:
         """Retire every member due at a finite radius at most ``upto``, in
         ascending radius, agents before endpoints at a shared one."""
-        t_ep = np.full(members, INF)
-        if dist is not None and chosen:
-            t_ep[live] = np.maximum(r, _bump_until(near()[live], lam))
-        gone = live & (t_ep <= upto) & (t_ep < INF)
-        eps = gone.nonzero()[0]
-        agents, t_ag = np.empty(0, dtype=int), np.empty(0)
+        upto = min(upto, math.nextafter(INF, 0.0))  # so ``t <= upto`` leaves INF out
+        t_ag = agents = t_ep = np.empty(0, dtype=int)
+        gone = whole = False  # an absent side retires nothing
+        if dist is not None:
+            t_ep = np.where(live, np.maximum(r, due), INF)
+            gone = t_ep <= upto
         if cost is not None:
-            t_ag = np.where(agent_eps.all(axis=1), np.maximum(r, costs), INF)
-            whole = (t_ag <= np.minimum(upto, t_ep.reshape(-1, 2).min(axis=1))) & (t_ag < INF)
+            t_ag = np.where(full, np.maximum(r, costs), INF)
+            whole = t_ag <= (upto if dist is None
+                             else np.minimum(np.minimum(t_ep[::2], t_ep[1::2]), upto))
             agents = whole.nonzero()[0]
-            eps = eps[~whole[eps // 2]]
-            gone |= np.repeat(whole, 2)
-        radius = np.concatenate([t_ag[agents], t_ep[eps]])
-        kind = np.repeat([0, 1], [agents.size, eps.size])
-        ids = np.concatenate([agents, eps])
-        order = np.lexsort((ids, kind, radius))
-        rows = zip(radius[order].tolist(), kind[order].tolist(), ids[order].tolist())
-        for (t, is_ep), group in itertools.groupby(rows, key=lambda row: row[:2]):
-            who = tuple(row[2] for row in group)
-            events.append(TraceEvent(radius=t, endpoints=who) if is_ep
-                          else TraceEvent(radius=t, agents=who))
+            whole = np.repeat(whole, 2)
+        eps = (gone > whole).nonzero()[0]
+        gone = gone | whole
+        if not (agents.size or eps.size):
+            return
+        # A stable sort by radius keeps agents before endpoints and each in
+        # index order, so the events are the runs of one (radius, kind).
+        radius, ids = np.concatenate((t_ag[agents], t_ep[eps])), np.concatenate((agents, eps))
+        order = radius.argsort(kind="stable")
+        radius, ids, is_ep = radius[order], ids[order], order >= agents.size
+        cuts = ((radius[1:] != radius[:-1]) | (is_ep[1:] != is_ep[:-1])).nonzero()[0] + 1
+        radius, ids, is_ep = radius.tolist(), ids.tolist(), is_ep.tolist()
+        cuts = [0, *cuts.tolist(), len(ids)]
+        for a, b in zip(cuts, cuts[1:]):
+            who = tuple(ids[a:b])
+            events.append(TraceEvent(radius[a], (), who, ()) if is_ep[a]
+                          else TraceEvent(radius[a], (), (), who))
         drop(gone)
 
     while True:
@@ -235,36 +258,29 @@ def _sweep(m: int, k: int, members: int, dist: np.ndarray | None = None, lam: fl
         if not live.any():
             break
         if bound == INF:
-            events.append(TraceEvent(radius=INF, agents=_ids(agent_eps.all(axis=1)))
-                          if dist is None else TraceEvent(radius=INF, endpoints=_ids(live)))
+            events.append(TraceEvent(INF, (), (), _ids(full)) if dist is None
+                          else TraceEvent(INF, (), _ids(live), ()))
             break
         r = bound
         if cost is not None:
-            while (p := _first(_eligible_pairs(pairs, is_chosen, k - len(chosen))
-                               & (pair_key <= r))) is not None:
-                covered = agent_eps.all(axis=1) & (pair_costs[p] <= r)
-                extra = _open(pairs[p].tolist(), chosen, is_chosen)
-                events.append(TraceEvent(radius=r, opened=extra, agents=_ids(covered)))
+            while (p := _first(eligible & (pair_key <= r))) is not None:
+                covered = full & (pair_costs[p] <= r)
+                events.append(TraceEvent(r, add(pairs[p].tolist()), (), _ids(covered)))
                 drop(np.repeat(covered, 2))
-                costs = cost(chosen)
             # Endpoints now covered by pair-opened stops must not pad the
             # balls of unrelated single candidates below.
-            if dist is not None and chosen and (gone := live & (near() <= lam * r)).any():
-                events.append(TraceEvent(radius=r, endpoints=_ids(gone)))
+            if dist is not None and (gone := live & (near <= lam * r)).any():
+                events.append(TraceEvent(r, (), _ids(gone), ()))
                 drop(gone)
         # r stays finite, so at lam = 0 a ball holds only members on its stop.
         # No budget test is needed here: every stop retires at least ``thr``
         # members, so all are retired before ``k`` stops are open.
         while dist is not None and (c := _first(~is_chosen & (stop_key <= lam * r))) is not None:
             ball = live & (dist[c] <= lam * r)
-            events.append(TraceEvent(radius=r, opened=_open((c,), chosen, is_chosen),
-                                     endpoints=_ids(ball)))
+            events.append(TraceEvent(r, add((c,)), _ids(ball), ()))
             drop(ball)
-            if cost is not None:
-                costs = cost(chosen)
         bound = INF
         if cost is not None:
-            eligible = _eligible_pairs(pairs, is_chosen, k - len(chosen))
             bound = float(pair_key[eligible].min(initial=INF))
         if dist is not None:
             bound = min(bound, float(_bump_until(stop_key[~is_chosen].min(initial=INF), lam)))
@@ -398,6 +414,10 @@ class LineClusteringInstance:
     def n(self) -> int:
         return len(self.datapoints)
 
+    def center_point_dists(self) -> np.ndarray:
+        """Read-only ``(m, n)`` center-to-datapoint table of :func:`line_to_clustering`."""
+        return _readonly(np.abs(np.subtract.outer(self.centers, self.datapoints)))
+
 
 def _nearest_free(dists: np.ndarray, free: np.ndarray) -> int:
     """The center in mask ``free`` nearest by ``dists``, ties to the lowest
@@ -411,15 +431,15 @@ def l_dictator_partition(line: LineClusteringInstance) -> tuple[int, ...]:
 
     Datapoints are split, in sorted order, into blocks of ``ceil(n/k)``; the
     ``ell``-th member of each block selects the closest center not already
-    chosen (ties go to the leftmost), read from the line's
-    :func:`line_to_clustering` table.  Returns sorted center indices; fewer
-    than ``k`` only when trailing blocks run out of datapoints.
+    chosen (ties go to the leftmost), read from
+    :meth:`LineClusteringInstance.center_point_dists`.  Returns sorted center
+    indices; fewer than ``k`` only when trailing blocks run out of datapoints.
     """
     n, kk, ell = line.n, line.k, line.ell
     if ell > n // kk:
         raise ValueError(f"ell={ell} exceeds floor(n/k)={n // kk}")
     block = -(-n // kk)
-    d = line_to_clustering(line).center_point_dists()
+    d = line.center_point_dists()
     free = np.ones(len(line.centers), dtype=bool)
     for j in range(ell - 1, n, block)[:kk]:
         free[_nearest_free(d[:, j], free)] = False
@@ -432,13 +452,13 @@ def line_sweep_baseline(line: LineClusteringInstance) -> tuple[int, ...]:
     Groups the sorted datapoints into blocks of ``ceil(n/k)`` and assigns each
     block the nearest unselected center at or to the right of its rightmost
     member (falling back to the overall nearest when none remains on the
-    right), read from the line's :func:`line_to_clustering` table.  Kept only
-    as a demonstrator: it can be arbitrarily unfair when centers do not
+    right), read from :meth:`LineClusteringInstance.center_point_dists`.  Kept
+    only as a demonstrator: it can be arbitrarily unfair when centers do not
     coincide with datapoints.
     """
     n, kk = line.n, line.k
     block = -(-n // kk)
-    d = line_to_clustering(line).center_point_dists()
+    d = line.center_point_dists()
     centers = np.array(line.centers)
     free = np.ones(len(centers), dtype=bool)
     for lo in range(0, n, block)[:kk]:

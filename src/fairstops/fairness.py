@@ -47,6 +47,7 @@ other check and every probe the counts settle leave scipy unloaded.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -182,7 +183,7 @@ def improving_pairs(instance: Instance, agent_index: int, solution, beta: float 
     order, under the module's boundary rule.
     """
     _check_factor(beta, "beta")
-    if not 0 <= agent_index < instance.n:
+    if not 0 <= (agent_index := operator.index(agent_index)) < instance.n:
         raise IndexError(f"agent index {agent_index} out of range for n={instance.n}")
     cy = solution_costs(instance, solution)
     pairs, ratios = _pair_ratios(instance, cy)

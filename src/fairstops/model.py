@@ -302,7 +302,7 @@ class ClusteringInstance:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One step of a radius sweep: what opened and who was retired, at which radius."""
 
@@ -338,7 +338,7 @@ def agent_cost(instance: Instance, agent_index: int, solution) -> float:
     to an alighting stop ``y2`` (``y1 == y2`` allowed) and walks on.  An empty
     placement leaves only the walk.
     """
-    n = instance.n
+    n, agent_index = instance.n, operator.index(agent_index)
     if not 0 <= agent_index < n:
         raise IndexError(f"agent index {agent_index} out of range for n={n}")
     return float(solution_costs(instance, solution)[agent_index])
@@ -429,11 +429,14 @@ def check_stop_sets(m: int, sizes) -> None:
 
 def stop_set_table(m: int, size: int, n: int, kernel) -> tuple[np.ndarray, np.ndarray]:
     """Every ``size``-subset of the ``m`` candidates as one ``(sets, size)``
-    array, and the ``(sets, n)`` table ``kernel`` gives them, one
-    :func:`stop_sets` block at a time."""
-    blocks = list(stop_sets(m, size, n))
-    return (np.concatenate([np.empty((0, size), dtype=int), *blocks]),
-            np.concatenate([np.empty((0, n)), *map(kernel, blocks)]))
+    array, and the ``(sets, n)`` table ``kernel`` gives them, both allocated
+    once and filled one :func:`stop_sets` block at a time."""
+    total, start = math.comb(m, size), 0
+    sets, table = np.empty((total, size), dtype=int), np.empty((total, n))
+    for block in stop_sets(m, size, n):
+        rows = slice(start, start := start + len(block))
+        sets[rows], table[rows] = block, kernel(block)
+    return sets, table
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import concurrent.futures
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,6 +355,28 @@ def test_sweeps_match_loop_oracles_under_ties_in_long_runs():
         assert_sweeps_match_loops(inst, ("grid", case))
 
 
+def test_sweeps_match_loop_oracles_when_openings_build_on_earlier_ones():
+    # Budgets of three or more on a small grid, so that a pair opens beside
+    # a stop already open (its event opens one stop) and the hybrid's ball
+    # side opens after a pair opened at a lower radius.  Both are counted,
+    # so the comparison cannot pass without them.
+    rng = np.random.default_rng(1)
+    shared = after_pair = 0
+    for case in range(200):
+        n, m = int(rng.integers(4, 13)), int(rng.integers(3, 7))
+        k = int(rng.integers(3, m + 1))
+        ride = rng.integers(0, 5, size=(m, m)) if case % 2 else None
+        inst = grid_instance(rng.integers(0, 4, size=(2 * n + m, 2)), m, k, ride)
+        assert_sweeps_match_loops(inst, ("grid", case))
+        traces = [fs.eca(inst)[1]] + [fs.hybrid(inst, lam)[1] for lam in SWEEP_LAMBDAS]
+        shared += any(len(ev.opened) == 1 and ev.agents for tr in traces for ev in tr.events)
+        for trace in traces[1:]:
+            pair_radii = [ev.radius for ev in trace.events if ev.opened and ev.agents]
+            after_pair += any(ev.opened and ev.endpoints and ev.radius > min(pair_radii)
+                              for ev in trace.events) if pair_radii else 0
+    assert shared >= 1 and after_pair >= 1, (shared, after_pair)
+
+
 @pytest.mark.parametrize("run", [fs.eca, lambda inst: fs.hybrid(inst, 0.5)], ids=["eca", "hybrid"])
 def test_sweep_time_is_not_quadratic_in_agents(run):
     # On a 2-vCPU VM, a sweep that re-scanned every unit at every retirement
@@ -433,6 +456,36 @@ def test_line_rules_match_loop_oracles(grid):
             assert fs.line_sweep_baseline(line) == line_sweep_loop(line)
             checked += 1
     assert checked > 500
+
+
+@pytest.mark.parametrize("grid", [True, False], ids=["integer-grid", "normal"])
+def test_line_table_equals_clustering_table(grid):
+    rng = np.random.default_rng(6)
+    for _ in range(300):
+        n, m = int(rng.integers(1, 13)), int(rng.integers(1, 8))
+        k = int(rng.integers(1, min(n, m) + 1))
+        dp, ce = ((rng.integers(-4, 5, size) if grid else rng.normal(0.0, 3.0, size)).tolist()
+                  for size in (n, m))
+        line = fs.LineClusteringInstance(datapoints=dp, centers=ce, k=k)
+        table = line.center_point_dists()
+        assert not table.flags.writeable
+        assert table.tobytes() == fs.line_to_clustering(line).center_point_dists().tobytes()
+
+
+@pytest.mark.parametrize("rule", [fs.l_dictator_partition, fs.line_sweep_baseline],
+                         ids=["dictator", "sweep"])
+def test_line_rules_read_no_dense_metric(rule):
+    # The (m x n) table is 0.7 MiB here; the dense (n + m)^2 metric would be 70.
+    rng = np.random.default_rng(3)
+    line = fs.LineClusteringInstance(datapoints=rng.uniform(0.0, 100.0, 3000).tolist(),
+                                     centers=rng.uniform(0.0, 100.0, 30).tolist(), k=3)
+    tracemalloc.start()
+    try:
+        rule(line)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 def test_dictator_rank_validation():

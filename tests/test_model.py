@@ -1,7 +1,11 @@
 """Cost model, metric validation, and the two clustering reductions."""
 
+import copy
+import dataclasses
+import functools
 import itertools
 import math
+import pickle
 import re
 import tracemalloc
 
@@ -91,6 +95,15 @@ def test_agent_cost_index_error():
     inst = fs.generate("jr-lower")
     with pytest.raises(IndexError):
         fs.agent_cost(inst, 5, ())
+
+
+def test_agent_index_must_be_an_integer():
+    inst = fs.generate("jr-lower")
+    for call in (fs.agent_cost, fs.improving_pairs):
+        for bad in (1.0, 0.5):
+            with pytest.raises(TypeError):
+                call(inst, bad, (0, 1))
+        assert call(inst, np.int64(1), (0, 1)) == call(inst, 1, (0, 1))
 
 
 def test_empty_solution_returns_walk():
@@ -244,6 +257,23 @@ def test_route_cost_block_stays_near_budget():
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * model.BLOCK_FLOATS * 8, (size, len(block), peak)
+
+
+def test_stop_set_table_holds_the_table_once():
+    inst = fs.random_euclidean(1000, 60, 8, 0, transit="random")
+    kernel = functools.partial(fs.route_costs, inst)
+    tracemalloc.start()
+    try:
+        sets, table = model.stop_set_table(inst.m, 2, inst.n, kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= table.nbytes + 1.25 * model.BLOCK_FLOATS * 8, (table.nbytes, peak)
+    blocks = list(model.stop_sets(inst.m, 2, inst.n))
+    assert sets.tobytes() == np.concatenate(blocks).tobytes()
+    assert table.tobytes() == np.concatenate([kernel(block) for block in blocks]).tobytes()
+    sets, table = model.stop_set_table(3, 4, 5, kernel)
+    assert sets.shape == (0, 4) and table.shape == (0, 5)
 
 
 def test_stop_sets_list_every_subset_in_order():
@@ -427,3 +457,14 @@ def test_trace_type_helpers():
     trace = fs.RunTrace((ev,))
     assert trace.opened() == (2,)
     assert trace.radii() == (1.0,)
+
+
+def test_trace_survives_pickle_copy_and_hash():
+    trace = fs.hybrid(fs.generate("eca-jr-tight", eps=0.01), 0.5)[1]
+    ev = trace.events[0]
+    assert not hasattr(ev, "__dict__")  # slotted: a sweep makes thousands
+    for twin in (pickle.loads(pickle.dumps(trace)), copy.deepcopy(trace)):
+        assert twin == trace and hash(twin) == hash(trace)
+        assert twin.events[0] == ev and hash(twin.events[0]) == hash(ev)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ev.radius = 2.0
