@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import json
 import math
 import sys
@@ -217,15 +218,20 @@ def _print_witness(instance: Instance, witness) -> None:
     print("witness factor:", _fmt(witness.factor))
 
 
+def _scipy_available() -> bool:
+    """Whether ``scipy.optimize`` can be found, without executing it: only
+    the ``scipy`` package itself is imported."""
+    try:
+        return importlib.util.find_spec("scipy.optimize") is not None
+    except (ImportError, ValueError):
+        return False
+
+
 def _cmd_verify(args) -> int:
-    if args.prop == "core" and args.backend == "milp":
-        # Load the solver before any work, so that a missing scipy is a usage
-        # error on every input and the call's memory and start-up cost do not
-        # hinge on whether the reach counts settle its probes.
-        try:
-            import scipy.optimize  # noqa: F401
-        except ImportError:
-            raise _CliError("--backend milp needs scipy")
+    # A missing scipy is a usage error on every input, found before any work;
+    # the solver itself loads on the first probe the reach counts leave open.
+    if args.prop == "core" and args.backend == "milp" and not _scipy_available():
+        raise _CliError("--backend milp needs scipy")
     instance = _load_instance(args.instance)
     stops = _parse_solution(args.solution, instance)
     beta = args.beta if args.beta is not None else 1.0
@@ -236,8 +242,12 @@ def _cmd_verify(args) -> int:
         witness = jr_violation(instance, stops, beta)
     elif args.prop == "core":
         alpha = _parse_alpha(args.alpha)
-        report = core_ratio(instance, stops, alpha, backend=args.backend)
-        witness = core_violation(instance, stops, alpha, beta, backend=args.backend)
+        try:
+            report = core_ratio(instance, stops, alpha, backend=args.backend)
+            witness = core_violation(instance, stops, alpha, beta, backend=args.backend)
+        except ImportError:
+            # Found above but broken: exit 1 would read as a witness.
+            raise _CliError("--backend milp needs scipy")
     elif args.prop == "pf":
         clustering = induce_clustering(instance)
         report = pf_ratio(clustering, stops)

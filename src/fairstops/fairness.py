@@ -42,7 +42,13 @@ stops holds ``C(t, 2)`` pairs, so its coalition is at most the sum of the
 ``C(t, 2)`` largest counts, and a probe no admissible ``t`` can satisfy is
 settled without a solve.  Only the integer program needs scipy, and
 :func:`milp` imports it on its first solve, so importing the package, every
-other check and every probe the counts settle leave scipy unloaded.
+other check and every probe the counts settle leave scipy unloaded; the
+command line only checks up front that scipy can be found.
+
+Both core backends refuse an instance that breaks the walk bound
+(:func:`~fairstops.model.walk_bound_problem`): the integer program and its
+screen leave single-stop targets out, which is exact only when no agent
+gains on a single stop.
 """
 
 from __future__ import annotations
@@ -64,6 +70,7 @@ from .model import (
     solution_costs,
     stop_set_table,
     stop_sets,
+    walk_bound_problem,
 )
 
 @dataclass(frozen=True)
@@ -238,6 +245,7 @@ def core_violation(
     enumeration stops there; past ``MAX_STOP_SETS`` (2**24) such targets it
     raises ``EnumerationGuardError`` before listing any.  The ``"milp"``
     backend solves an equivalent 0/1 integer program, with no such limit.
+    Both raise ``ValueError`` on an instance that breaks the walk bound.
     """
     return _core(instance, solution, alpha, _check_factor(beta, "beta"), backend)
 
@@ -252,7 +260,7 @@ def core_ratio(
     satisfying ``s * k >= alpha * |T| * n``; the report's factor is the
     maximum over targets.  Reported as ``inf`` when some target serves a
     blocking coalition at zero cost while the solution does not.  Enumeration
-    is limited as in :func:`core_violation`.
+    is limited, and a broken walk bound refused, as in :func:`core_violation`.
     """
     return _core(instance, solution, alpha, None, backend)
 
@@ -263,6 +271,8 @@ def _core(instance: Instance, solution, alpha, beta: float | None, backend: str)
     alpha = _as_alpha(alpha)
     if backend not in ("enumerate", "milp"):
         raise ValueError(f"unknown backend {backend!r}")
+    if problem := walk_bound_problem(instance):
+        raise ValueError(f"the core backends need the walk bound: {problem}")
     n, m, k = instance.n, instance.m, instance.k
     cy = solution_costs(instance, solution)
     if backend == "milp":
@@ -282,7 +292,7 @@ def _core(instance: Instance, solution, alpha, beta: float | None, backend: str)
 def milp(c, constraints, integrality, bounds):
     """``scipy.optimize.milp`` on ``constraints = (A, lo, hi)`` and
     ``bounds = (lb, ub)``; scipy is imported on the first call only."""
-    from scipy import optimize
+    import scipy.optimize as optimize
 
     return optimize.milp(
         c=c,
@@ -310,9 +320,9 @@ def _core_violation_milp(
     solve.  Probes the screen leaves open solve the same program as before."""
     n, m, k = instance.n, instance.m, instance.k
     p, q = alpha.numerator, alpha.denominator
-    # Single-stop targets are left out: walking is a metric (validate_instance
-    # checks its triangle inequality), so a route boarding and alighting at
-    # one stop never beats the direct walk, and no agent improves on one stop.
+    # Single-stop targets are left out: _core refuses an instance that breaks
+    # the walk bound, so a route boarding and alighting at one stop never
+    # beats the direct walk, and no agent improves on one stop.
     used = np.flatnonzero(reach.any(axis=1))
     if not used.size:
         return None

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algorithms import LineClusteringInstance
-from .model import INF, Instance, Metric
+from .model import INF, Instance, Metric, structure_problems, walk_bound_problem
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -622,8 +622,10 @@ def write_instance(instance: Instance, path) -> None:
 def read_instance(path) -> Instance:
     """Read an instance file written by :func:`write_instance` (any key order).
 
-    Every distance entry must be a number >= 0 or ``"inf"``; the other metric
-    axioms cost O(p^3) and are left to :func:`validate_instance`.
+    Every distance entry must be a number >= 0 or ``"inf"``, and on a sound
+    structure the walk must meet :func:`~fairstops.model.walk_bound_problem`'s
+    bound (O(n * m)); the other metric axioms cost O(p^3) and are left to
+    :func:`validate_instance`.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -661,4 +663,7 @@ def read_instance(path) -> Instance:
         if not isinstance(labels, list) or len(labels) != m:
             raise InstanceParseError(f"{path}: field 'labels' must list {m} names")
         labels = tuple(str(s) for s in labels)
-    return _instance(endpoints, candidates, walk, transit, k, labels)
+    instance = _instance(endpoints, candidates, walk, transit, k, labels)
+    if not structure_problems(instance) and (problem := walk_bound_problem(instance)):
+        raise InstanceParseError(f"{path}: field 'walk': {problem}")
+    return instance

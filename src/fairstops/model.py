@@ -212,6 +212,16 @@ class Instance:
         object.__setattr__(self, "_d_cc", _readonly(d_cc))
         object.__setattr__(self, "_d_ab", _readonly(d[a, b] + 0.0))
 
+    @functools.cached_property
+    def _walk_bound(self) -> str | None:
+        """:func:`walk_bound_problem`, computed on first use."""
+        bad = ~(self._d_ab <= self._d_cc * (1.0 + RTOL))
+        if not bad.any():
+            return None
+        i, c = np.argwhere(bad.T)[0].tolist()
+        return (f"agent {i}'s walk {float(self._d_ab[i])!r} exceeds its route "
+                f"{float(self._d_cc[c, i])!r} through stop {c} alone")
+
     def __getattr__(self, name):
         # Only reached for an attribute that was never set.
         if name in ("_d_ca", "_d_cb", "_d_cc", "_d_ab"):
@@ -469,7 +479,10 @@ def validate_instance(instance: Instance) -> list[str]:
     :func:`structure_problems` come first, then duplicate candidates and
     metric violations (asymmetry, nonzero diagonal, triangle violations by
     more than the relative ``RTOL``, so the report is the same at any
-    distance scale).
+    distance scale).  A walk and transit that pass these checks meet the walk
+    bound (:func:`walk_bound_problem`), so an instance that breaks it always
+    has a line here (on a symmetric walk, the triangle between the agent's
+    endpoints through that stop) and the bound has no line of its own.
     """
     out = structure_problems(instance)
     if len(set(instance.candidates.tolist())) != instance.m:
@@ -477,6 +490,17 @@ def validate_instance(instance: Instance) -> list[str]:
     out.extend(instance.walk.violations("walk"))
     out.extend(instance.transit.violations("transit"))
     return out
+
+
+def walk_bound_problem(instance: Instance) -> str | None:
+    """The walk bound: no agent's route boarding and alighting at one stop
+    beats her direct walk, ``_d_ab[i] <= _d_cc[c, i] * (1 + RTOL)`` for every
+    agent ``i`` and stop ``c``.  Returns a message naming the first failing
+    agent and, for her, the first failing stop, or ``None`` when the bound
+    holds.  A metric walk with a zero-diagonal transit always meets it; the
+    core backends assume it.  O(n * m) on the tables the instance already
+    holds, once per instance; raises ``ValueError`` on a broken structure."""
+    return instance._walk_bound
 
 
 def require_valid_structure(instance: Instance) -> None:

@@ -100,6 +100,24 @@ def write_bad_field_value(path, field, index, value) -> None:
     path.write_text(json.dumps(doc))
 
 
+def walk_bound_breaker() -> fs.Instance:
+    """Three agents whose endpoints are 10 apart but 1 from stop 0 (stop 1 is
+    unreachable), at k = 1: a route through stop 0 alone beats every walk."""
+    walk = np.full((8, 8), 2.0)
+    for i in range(3):
+        walk[2 * i, 2 * i + 1] = walk[2 * i + 1, 2 * i] = 10.0
+    walk[:6, 6] = walk[6, :6] = 1.0
+    walk[7, :] = walk[:, 7] = np.inf
+    np.fill_diagonal(walk, 0.0)
+    return fs.Instance(
+        endpoints=[(0, 1), (2, 3), (4, 5)],
+        candidates=[6, 7],
+        walk=fs.Metric(walk),
+        transit=fs.Metric([[0.0, np.inf], [np.inf, 0.0]]),
+        k=1,
+    )
+
+
 def family_instances():
     """Every named family at default parameters, clustering families embedded,
     plus the tight families at the parameters the acceptance tests use."""

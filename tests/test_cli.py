@@ -8,7 +8,8 @@ import sys
 import pytest
 
 import fairstops as fs
-from conftest import BAD_FIELD_VALUES, write_bad_field_value
+from conftest import BAD_FIELD_VALUES, walk_bound_breaker, write_bad_field_value
+from fairstops import cli
 from fairstops.cli import main
 
 
@@ -261,6 +262,57 @@ def test_verify_milp_without_scipy_exits_2(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert "--backend milp needs scipy" in err
     assert stdout == ""
+
+
+def test_verify_milp_without_scipy_package_exits_2(tmp_path, capsys, monkeypatch):
+    # The up-front check finds no scipy package at all on a settled input
+    # (nor the solver an earlier test may have loaded into this process).
+    path = tmp_path / "jr.json"
+    fs.write_instance(fs.generate("jr-lower"), path)
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.delitem(sys.modules, "scipy.optimize", raising=False)
+    code, stdout, err = run_cli(
+        capsys,
+        "verify", "--instance", str(path), "--solution", "0,1,5",
+        "--prop", "core", "--alpha", "2", "--backend", "milp",
+    )
+    assert code == 2
+    assert "--backend milp needs scipy" in err
+    assert stdout == ""
+
+
+def test_verify_milp_with_broken_scipy_exits_2(tmp_path, capsys, monkeypatch):
+    # scipy.optimize is found but fails to import at the first solve, which
+    # this placement reaches; exit 1 would read as a witness.
+    path = tmp_path / "jr.json"
+    fs.write_instance(fs.generate("jr-lower"), path)
+    monkeypatch.setattr(cli, "_scipy_available", lambda: True)
+    monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+    code, stdout, err = run_cli(
+        capsys,
+        "verify", "--instance", str(path), "--solution", "0,3", "--json",
+        "--prop", "core", "--alpha", "1", "--backend", "milp",
+    )
+    assert code == 2
+    assert "--backend milp needs scipy" in err
+    assert stdout == ""
+
+
+def test_verify_core_refuses_a_broken_walk_bound(tmp_path, capsys):
+    # Each agent's endpoints are 10 apart but 1 from stop 0.  Enumeration would
+    # report factor 5.0 here and the MILP, which skips single-stop targets,
+    # 1.0, so both backends refuse the file.
+    path = tmp_path / "bent.json"
+    fs.write_instance(walk_bound_breaker(), path)
+    for backend in ("enumerate", "milp"):
+        code, stdout, err = run_cli(
+            capsys,
+            "verify", "--instance", str(path), "--solution", "1",
+            "--prop", "core", "--alpha", "1", "--backend", backend,
+        )
+        assert code == 2, backend
+        assert "field 'walk': agent 0's walk 10.0 exceeds its route 2.0 through stop 0" in err
+        assert stdout == ""
 
 
 def test_verify_json_report(tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairstops as fs
-from conftest import grid_instances
+from conftest import grid_instances, walk_bound_breaker
 from oracles import brute_jr_factor, brute_pf_factor, ratios_five_where
 
 SQRT2 = math.sqrt(2.0)
@@ -196,6 +196,15 @@ def test_core_guard_counts_stop_sets():
         fs.core_ratio(big, (0,), 1)
     # The branch-and-bound backend lists no stop sets and is not limited.
     assert fs.core_violation(big, (0,), 1, 1000.0, backend="milp") is None
+
+
+@pytest.mark.parametrize("backend", ["enumerate", "milp"])
+def test_core_backends_refuse_a_broken_walk_bound(backend):
+    inst = walk_bound_breaker()  # builds: Instance(...) stays permissive
+    for check in (lambda: fs.core_ratio(inst, (1,), 1, backend=backend),
+                  lambda: fs.core_violation(inst, (1,), 1, backend=backend)):
+        with pytest.raises(ValueError, match="walk bound: agent 0's walk 10.0 exceeds"):
+            check()
 
 
 def test_stop_set_limit_is_inclusive():

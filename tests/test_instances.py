@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fairstops as fs
-from conftest import BAD_FIELD_VALUES, write_bad_field_value
+from conftest import BAD_FIELD_VALUES, walk_bound_breaker, write_bad_field_value
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -411,4 +411,12 @@ def test_bad_value_reports_field(tmp_path, field, index, value):
     path = tmp_path / "a.json"
     write_bad_field_value(path, field, index, value)
     with pytest.raises(fs.InstanceParseError, match=f"'{field}'"):
+        fs.read_instance(path)
+
+
+def test_reader_refuses_a_broken_walk_bound(tmp_path):
+    path = tmp_path / "bent.json"
+    fs.write_instance(walk_bound_breaker(), path)
+    with pytest.raises(fs.InstanceParseError,
+                       match="field 'walk': agent 0's walk 10.0 exceeds its route 2.0"):
         fs.read_instance(path)

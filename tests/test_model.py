@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import fairstops as fs
-from conftest import family_instances
+from conftest import family_instances, walk_bound_breaker
 from fairstops import model
 from oracles import naive_agent_cost
 
@@ -376,6 +376,27 @@ def test_every_family_validates_clean_at_any_scale(scale):
         if isinstance(inst, fs.LineClusteringInstance):
             inst = fs.clustering_to_trsp(fs.line_to_clustering(inst))
         assert fs.validate_instance(scaled(inst, scale)) == [], name
+
+
+def test_walk_bound_names_first_agent_and_stop():
+    bent = walk_bound_breaker()
+    assert (model.walk_bound_problem(bent)
+            == "agent 0's walk 10.0 exceeds its route 2.0 through stop 0 alone")
+    # Stop 0 moved 6 away from everyone, stop 1 to 1 from agent 1's endpoints:
+    # agent 1 alone breaks the bound, on stop 1 only.
+    walk = np.array(bent.walk.dist)
+    walk[:6, 6] = walk[6, :6] = 6.0
+    walk[[2, 3], 7] = walk[7, [2, 3]] = 1.0
+    moved = fs.Instance(endpoints=bent.endpoints, candidates=bent.candidates,
+                        walk=fs.Metric(walk), transit=bent.transit, k=1)
+    assert (model.walk_bound_problem(moved)
+            == "agent 1's walk 10.0 exceeds its route 2.0 through stop 1 alone")
+
+
+def test_every_input_meets_the_walk_bound(corpus, corpus_random_transit):
+    instances = [*corpus, *corpus_random_transit, *(inst for _, inst in family_instances())]
+    for inst in instances:
+        assert model.walk_bound_problem(inst) is None
 
 
 # ---------------------------------------------------------------------------
