@@ -9,20 +9,22 @@ All three sweeps run one trigger loop, ``_sweep``, with two sides, either
 of which may be absent: a *single-stop side*, a ``(stops x endpoints)``
 distance table whose balls have radius ``lam * r``, and a *pair side*, a
 ``(pairs x agents)`` cost table over unordered stop pairs plus each agent's
-cost under the current selection.  An agent counts on the pair side only
-while both its endpoints are active.  At radius ``r`` a unit (a stop or a
-pair) covers ``((C <= r) & active).sum(1)`` members and opens at
-``ceil(2n/k)``, that is once its key, the ``ceil(2n/k)``-th smallest cost
-over its active members, is at most ``r``.  While no stop opens, members
-only retire, so keys never fall and no unit becomes eligible; no unit can
-open below the least eligible key.  Every retirement below that bound is
-known in closed form from the current selection, so the loop takes them all
-in one vectorised pass and jumps from one possible opening radius to the
-next, at the same radii and with the same events as a pass per trigger.
-:func:`greedy_capture` (so also :func:`gc_trsp`) runs the
-single-stop side alone at ``lam = 1``, with ``ceil(n/k)`` over its n
-datapoints; :func:`eca` runs the pair side alone, with costs capped by the
-walk; :func:`hybrid` runs both, with route costs.
+cost under the current selection.  The pair side reads the instance's route
+table over every stop pair, built on first use and kept for the instance's
+life (``C(m, 2) * n * 8`` bytes), which the verifiers share.  An agent
+counts on the pair side only while both its endpoints are active.  At
+radius ``r`` a unit (a stop or a pair) covers
+``((C <= r) & active).sum(1)`` members and opens at ``ceil(2n/k)``, that is
+once its key, the ``ceil(2n/k)``-th smallest cost over its active members,
+is at most ``r``.  While no stop opens, members only retire, so keys never
+fall and no unit becomes eligible; no unit can open below the least eligible key.
+Every retirement below that bound is known in closed form from the current
+selection, so the loop takes them all in one vectorised pass and jumps from
+one possible opening radius to the next, at the same radii and with the
+same events as a pass per trigger.  :func:`greedy_capture` (so also
+:func:`gc_trsp`) runs the single-stop side alone at ``lam = 1``, with
+``ceil(n/k)`` over its n datapoints; :func:`eca` runs the pair side alone,
+with costs capped by the walk; :func:`hybrid` runs both, with route costs.
 
 Tie-breaking is fixed throughout: candidates are examined in ascending index
 order, unordered candidate pairs in lexicographic order, and only the first
@@ -53,8 +55,7 @@ from .model import (
     induce_clustering,
     route_costs,
     solution_costs,
-    stop_set_table,
-    stop_sets,
+    stop_set_costs,
 )
 
 
@@ -99,11 +100,16 @@ def _first(mask: np.ndarray) -> int | None:
     return i if mask.size and mask[i := int(mask.argmax())] else None
 
 
-def _kth(table: np.ndarray, thr: int) -> np.ndarray:
-    """Per row, the ``thr``-th smallest entry; INF for rows shorter than ``thr``."""
+def _kth(table: np.ndarray, thr: int, scratch: bool = False) -> np.ndarray:
+    """Per row, the ``thr``-th smallest entry; INF for rows shorter than ``thr``.
+    A ``scratch`` table is partitioned in place rather than copied.  The
+    result is its own array, so no copy of the table outlives the call."""
     if table.shape[1] < thr:
         return np.full(len(table), INF)
-    return np.partition(table, thr - 1, axis=1)[:, thr - 1]
+    if not scratch:
+        table = table.copy()
+    table.partition(thr - 1, axis=1)
+    return table[:, thr - 1].copy()
 
 
 def _rekey(key: np.ndarray, table: np.ndarray, lost: np.ndarray, kept: np.ndarray,
@@ -113,7 +119,7 @@ def _rekey(key: np.ndarray, table: np.ndarray, lost: np.ndarray, kept: np.ndarra
     keeps that key, so only the other rows are partitioned again."""
     rows = (table[:, lost] <= key[:, None]).any(axis=1).nonzero()[0]
     if rows.size:
-        key[rows] = _kth(table[rows[:, None], kept], thr)
+        key[rows] = _kth(table[rows[:, None], kept], thr, scratch=True)
 
 
 def _open(unit, chosen: list[int], is_chosen: np.ndarray) -> tuple[int, ...]:
@@ -150,14 +156,17 @@ def _bump_until(values, lam: float) -> np.ndarray:
 
 
 def _sweep(m: int, k: int, members: int, dist: np.ndarray | None = None, lam: float = 1.0,
+           pair_table: tuple[np.ndarray, np.ndarray] | None = None,
            cost=None) -> tuple[list[int], RunTrace]:
     """Grow one radius ``r`` over a single-stop side, a pair side, or both.
 
     ``dist`` is the single-stop side, with balls of radius ``lam * r``.
-    ``cost`` is the pair side: it maps a 2-D array of units to their table
-    and a selection to the agents' retirement costs; agent ``i`` owns
-    members ``2i`` and ``2i + 1``.  Phases run in the order :func:`hybrid`
-    documents.  Returns the stops in opening order and the trace.
+    ``pair_table`` and ``cost`` are the pair side: every unordered stop pair
+    in lexicographic order with its ``(pairs, agents)`` cost table, which is
+    only read, and a map from a selection to the agents' retirement costs;
+    agent ``i`` owns members ``2i`` and ``2i + 1``.  Phases run in the order
+    :func:`hybrid` documents.  Returns the stops in opening order and the
+    trace.
 
     Each side caches its units' keys (``_kth`` over the live members) and
     refreshes only rows that lose a member at or below their key, so a
@@ -178,8 +187,8 @@ def _sweep(m: int, k: int, members: int, dist: np.ndarray | None = None, lam: fl
     opening, refreshes ``near`` (each member's distance to the selection)
     with its bump ``due``, the agents' ``costs`` and ``eligible``.
     """
-    if cost is not None:  # before the division, so a bad instance's k = 0 raises its ValueError
-        pairs, pair_costs = stop_set_table(m, 2, members // 2, cost)
+    if cost is not None:
+        pairs, pair_costs = pair_table
     if not members:  # nothing to serve, and a threshold of 0 picks no order statistic
         return [], RunTrace(())
     thr = -(-members // k)
@@ -331,8 +340,10 @@ def eca(instance: Instance) -> tuple[Solution, RunTrace]:
     a later pair was about to serve.  Correct under arbitrary transit
     metrics.
     """
+    pairs, routes = instance._pair_table
     chosen, trace = _sweep(instance.m, instance.k, 2 * instance.n,
-                           cost=lambda units: solution_costs(instance, units))
+                           pair_table=(pairs, np.minimum(instance._d_ab, routes)),
+                           cost=lambda chosen: solution_costs(instance, chosen))
     return Solution.of(chosen), trace
 
 
@@ -380,7 +391,8 @@ def hybrid(instance: Instance, params: HybridParams | float) -> tuple[Solution, 
         params = HybridParams(float(params))
     dist = induce_clustering(instance).center_point_dists()
     chosen, trace = _sweep(instance.m, instance.k, 2 * instance.n, dist=dist, lam=params.lam,
-                           cost=lambda units: route_costs(instance, units))
+                           pair_table=instance._pair_table,
+                           cost=lambda chosen: route_costs(instance, chosen))
     return Solution.of(chosen), trace
 
 
@@ -496,9 +508,9 @@ def exact_min_cost(instance: Instance) -> tuple[Solution, float]:
     check_stop_sets(m, range(k + 1))
     best_cost, best_stops = INF, ()
     for size in range(k + 1):
-        for block in stop_sets(m, size, instance.n):
+        for block, costs in stop_set_costs(instance, size):
             # fmin makes a NaN total INF, so, as in a loop of `<` tests, it never wins.
-            totals = np.fmin(solution_costs(instance, block).sum(axis=1), INF)
+            totals = np.fmin(costs.sum(axis=1), INF)
             j = int(np.argmin(totals))
             if totals[j] < best_cost:
                 best_cost, best_stops = float(totals[j]), block[j]

@@ -68,8 +68,7 @@ from .model import (
     as_stops,
     check_stop_sets,
     solution_costs,
-    stop_set_table,
-    stop_sets,
+    stop_set_costs,
     walk_bound_problem,
 )
 
@@ -121,12 +120,16 @@ def _check_factor(value: float, name: str) -> float:
 def _targets(instance: Instance, needs: dict[int, int]):
     """Blocks ``(targets, costs, need)`` of every stop set whose size is a key
     of ``needs``, in the dict's order of sizes and then lexicographic order:
-    a ``stop_sets`` block and its ``(targets, agents)`` cost table.  Sizes
-    whose ``need`` is not in ``[1, n]`` admit no coalition and are skipped."""
+    a ``stop_sets`` block and its ``(targets, agents)`` cost table.  Pair
+    blocks are row slices of the instance's route table over every pair,
+    built on first use and kept for the instance's life (``C(m, 2) * n * 8``
+    bytes), each capped by the walk on its own, so a search holds one
+    block's costs at a time.  Sizes whose ``need`` is not in ``[1, n]``
+    admit no coalition and are skipped."""
     for size, need in needs.items():
         if 0 < need <= instance.n:
-            for targets in stop_sets(instance.m, size, instance.n):
-                yield targets, solution_costs(instance, targets), need
+            for targets, costs in stop_set_costs(instance, size):
+                yield targets, costs, need
 
 
 def _search(cy: np.ndarray, blocks, beta: float | None = None) -> Witness | None:
@@ -163,9 +166,13 @@ def _report(prop: str, alpha: Fraction | None, witness: Witness | None) -> Fairn
 
 
 def _pair_ratios(instance: Instance, cy: np.ndarray):
-    """Every stop pair in lexicographic order, and its ``(pairs, agents)`` ratios."""
-    return stop_set_table(instance.m, 2, instance.n,
-                          lambda pairs: _ratios(cy, solution_costs(instance, pairs)))
+    """Every stop pair in lexicographic order, and its ``(pairs, agents)``
+    ratios, filled one block of the instance's pair table at a time."""
+    pairs = instance._pair_table[0]
+    ratios, start = np.empty((len(pairs), instance.n)), 0
+    for block, costs in stop_set_costs(instance, 2):
+        ratios[start:(start := start + len(block))] = _ratios(cy, costs)
+    return pairs, ratios
 
 
 def _as_alpha(alpha) -> Fraction:

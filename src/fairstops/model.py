@@ -180,7 +180,9 @@ class Instance:
     # reading an unbuilt one raises its first problem (__getattr__).  The
     # walk tables are stops first, (m, n): _d_ca[c, i] and _d_cb[c, i] are the
     # walks between stop c and a_i and b_i, and _d_cc[c, i] is agent i's route
-    # boarding and alighting at c, (walk in + ride c->c) + walk out.
+    # boarding and alighting at c, (walk in + ride c->c) + walk out.  The
+    # stop-pair route table (_pair_table) is built on first use instead and
+    # kept for the instance's life: C(m, 2) * n * 8 bytes.
     _d_ca: np.ndarray = field(init=False, repr=False)
     _d_cb: np.ndarray = field(init=False, repr=False)
     _d_cc: np.ndarray = field(init=False, repr=False)
@@ -221,6 +223,16 @@ class Instance:
         i, c = np.argwhere(bad.T)[0].tolist()
         return (f"agent {i}'s walk {float(self._d_ab[i])!r} exceeds its route "
                 f"{float(self._d_cc[c, i])!r} through stop {c} alone")
+
+    @functools.cached_property
+    def _pair_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every unordered stop pair in lexicographic order, ``(C(m, 2), 2)``,
+        and its :func:`route_costs` table, ``(C(m, 2), n)``, both read-only:
+        the one size-2 table the sweeps and verifiers read, built on first
+        use by :func:`stop_set_table`."""
+        pairs, routes = stop_set_table(self.m, 2, self.n, functools.partial(route_costs, self))
+        pairs.flags.writeable = routes.flags.writeable = False
+        return pairs, routes
 
     def __getattr__(self, name):
         # Only reached for an attribute that was never set.
@@ -418,13 +430,34 @@ def stop_sets(m: int, size: int, n: int):
     (the off-diagonal routes, one walk-out gather and the table row) and
     ``n * (size + 2)`` under null transit (one walk gather beside two
     minima); a block is sized by the larger."""
-    per_block = max(1, BLOCK_FLOATS // max(1, n * max(2 * size * (size - 1) + 1, size + 2)))
+    per_block = _block_rows(size, n)
     combos = itertools.combinations(range(m), size)
     total = math.comb(m, size)
     for start in range(0, total, per_block):
         rows = min(per_block, total - start)
         flat = itertools.chain.from_iterable(itertools.islice(combos, rows))
         yield np.fromiter(flat, dtype=int, count=rows * size).reshape(rows, size)
+
+
+def _block_rows(size: int, n: int) -> int:
+    """Stop sets in one :func:`stop_sets` block of ``size``-sets for ``n`` agents."""
+    return max(1, BLOCK_FLOATS // max(1, n * max(2 * size * (size - 1) + 1, size + 2)))
+
+
+def stop_set_costs(instance: Instance, size: int):
+    """Every ``size``-subset of the candidates, in :func:`stop_sets` blocks
+    ``(sets, costs)``, each with its :func:`solution_costs` table.  Pairs are
+    row slices of the instance's cached pair table, capped by the walk one
+    block at a time, so a caller's transient memory stays per block."""
+    if size != 2:
+        for sets in stop_sets(instance.m, size, instance.n):
+            yield sets, solution_costs(instance, sets)
+        return
+    pairs, routes = instance._pair_table
+    step = _block_rows(2, instance.n)
+    for start in range(0, len(pairs), step):
+        rows = slice(start, start + step)
+        yield pairs[rows], np.minimum(instance._d_ab, routes[rows])
 
 
 def check_stop_sets(m: int, sizes) -> None:

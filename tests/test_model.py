@@ -1,5 +1,6 @@
 """Cost model, metric validation, and the two clustering reductions."""
 
+import concurrent.futures
 import copy
 import dataclasses
 import functools
@@ -7,6 +8,8 @@ import itertools
 import math
 import pickle
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -301,14 +304,110 @@ def block_outputs(inst):
 
 def test_one_set_blocks_change_nothing(corpus, corpus_random_transit, monkeypatch):
     # No test instance spans two blocks at the default size; one set a block
-    # makes every search cross block boundaries.
+    # makes every search cross block boundaries.  That pass runs on fresh
+    # copies, so each builds its own pair table one pair a block too, rather
+    # than reading the table the default pass cached.
     cases = [(seed, inst) for seed, inst in enumerate(corpus[:15] + corpus_random_transit[:15])]
     cases += family_instances()
     default = [block_outputs(inst) for _, inst in cases]
     monkeypatch.setattr(model, "BLOCK_FLOATS", 1)
     assert max(len(block) for block in model.stop_sets(5, 2, 1)) == 1
     for (label, inst), expected in zip(cases, default):
-        assert block_outputs(inst) == expected, label
+        fresh = dataclasses.replace(inst)
+        assert "_pair_table" not in vars(fresh)
+        assert block_outputs(fresh) == expected, label
+
+
+# ---------------------------------------------------------------------------
+# The shared stop-pair route table
+# ---------------------------------------------------------------------------
+
+
+def count_pair_tables(monkeypatch) -> list[int]:
+    """Patch ``model.stop_set_table`` to record every size-2 table it builds."""
+    built, original = [], model.stop_set_table
+
+    def counted(m, size, n, kernel):
+        if size == 2:
+            built.append(m)
+        return original(m, size, n, kernel)
+
+    monkeypatch.setattr(model, "stop_set_table", counted)
+    return built
+
+
+def test_pair_table_is_built_once_and_shared(monkeypatch):
+    inst = fs.random_euclidean(30, 8, 3, 0, transit="random")
+    built = count_pair_tables(monkeypatch)
+    sol = fs.eca(inst)[0]
+    fs.hybrid(inst, 0.5)
+    fs.jr_ratio(inst, sol)
+    fs.jr_violation(inst, sol)
+    for backend in ("enumerate", "milp"):
+        fs.core_ratio(inst, sol, 1, backend=backend)
+        fs.core_violation(inst, sol, 1, backend=backend)
+    fs.improving_pairs(inst, 0, sol)
+    fs.exact_min_cost(inst)
+    assert built == [inst.m]
+    pairs, routes = inst._pair_table
+    for table in (pairs, routes):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+    expected = model.stop_set_table(inst.m, 2, inst.n, functools.partial(fs.route_costs, inst))
+    assert pairs.tobytes() == expected[0].tobytes() and pairs.shape == expected[0].shape
+    assert routes.tobytes() == expected[1].tobytes() and routes.shape == expected[1].shape
+
+
+def test_pair_table_first_fill_under_threads():
+    # The table is shared state filled on first use: many threads racing to
+    # fill it must still give every caller the serial results.
+    serial_inst = fs.random_euclidean(300, 40, 6, 2, transit="random")
+    sol = fs.eca(serial_inst)[0]
+    calls = (fs.eca, lambda inst: fs.hybrid(inst, 0.5), lambda inst: fs.jr_ratio(inst, sol))
+    serial = [call(serial_inst) for call in calls]
+    inst = dataclasses.replace(serial_inst)
+    start = threading.Barrier(8)
+
+    def job(i):
+        start.wait(timeout=60)
+        return i % 3, calls[i % 3](inst)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(job, i) for i in range(8)]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for which, result in results:
+        assert result == serial[which], which
+
+
+def test_verifiers_hold_one_block_beside_the_cached_table():
+    inst = fs.random_euclidean(1000, 60, 8, 0, transit="random")
+    tracemalloc.start()
+    try:
+        sol = fs.eca(inst)[0]
+        cold = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 48.3 MiB is what a cold eca peaked at when it built a capped pair table
+    # of its own and its first key partition kept a copy of that table alive.
+    assert cold <= 48.3 * 2**20, cold
+    # At alpha 4 the core lists single stops and pairs only, the pairs from
+    # the cached table; alpha 2 would add 0.5 M sets of three and four stops,
+    # which read no pair table, for about 40 s.
+    for check in (lambda: fs.jr_ratio(inst, sol), lambda: fs.jr_violation(inst, sol),
+                  lambda: fs.core_ratio(inst, sol, 4)):
+        tracemalloc.start()
+        try:
+            check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * model.BLOCK_FLOATS * 8, peak
 
 
 # ---------------------------------------------------------------------------
