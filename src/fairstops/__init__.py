@@ -13,7 +13,6 @@ from .algorithms import (
     GC_CORE_ALPHA,
     GC_CORE_BETA,
     GC_JR_FACTOR,
-    HybridParams,
     LineClusteringInstance,
     eca,
     exact_min_cost,
@@ -39,7 +38,6 @@ from .fairness import (
 )
 from .instances import (
     FAMILIES,
-    FamilySpec,
     InstanceParseError,
     canonical_family,
     generate,

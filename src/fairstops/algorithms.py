@@ -347,25 +347,14 @@ def eca(instance: Instance) -> tuple[Solution, RunTrace]:
     return Solution.of(chosen), trace
 
 
-@dataclass(frozen=True)
-class HybridParams:
-    """Mixing weight between the distance sweep and the cost sweep.
-
-    ``lam`` is the growth rate of the single-stop distance radius relative to
-    the pair cost radius: 1 recovers greedy-capture behaviour, values near 0
-    favour the pair side (at exactly 0 the distance side only ever captures
-    endpoints sitting exactly on a stop).
-    """
-
-    lam: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
-
-
-def hybrid(instance: Instance, params: HybridParams | float) -> tuple[Solution, RunTrace]:
+def hybrid(instance: Instance, lam: float) -> tuple[Solution, RunTrace]:
     """One sweep that interleaves pair openings and single-stop openings.
+
+    ``lam`` in ``[0, 1]`` weighs the two sides: it is the growth rate of the
+    single-stop distance radius relative to the pair cost radius.  1 recovers
+    greedy-capture behaviour, values near 0 favour the pair side (at exactly
+    0 the distance side only ever captures endpoints sitting exactly on a
+    stop), and a weight outside ``[0, 1]`` raises ``ValueError``.
 
     Under radius ``r``, in fixed phase order per trigger radius: (1) whole
     agents with both endpoints still active retire when the selection serves
@@ -387,10 +376,11 @@ def hybrid(instance: Instance, params: HybridParams | float) -> tuple[Solution, 
     The ball side reads the induced clustering's stops-first table, the one
     :func:`gc_trsp` sweeps.
     """
-    if not isinstance(params, HybridParams):
-        params = HybridParams(float(params))
+    lam = float(lam)
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lam must lie in [0, 1], got {lam}")
     dist = induce_clustering(instance).center_point_dists()
-    chosen, trace = _sweep(instance.m, instance.k, 2 * instance.n, dist=dist, lam=params.lam,
+    chosen, trace = _sweep(instance.m, instance.k, 2 * instance.n, dist=dist, lam=lam,
                            pair_table=instance._pair_table,
                            cost=lambda chosen: route_costs(instance, chosen))
     return Solution.of(chosen), trace

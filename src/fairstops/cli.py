@@ -237,21 +237,24 @@ def _cmd_verify(args) -> int:
     beta = args.beta if args.beta is not None else 1.0
     if not beta >= 1:
         raise _CliError(f"--beta must be >= 1, got {beta}")
+    # A report without a witness has factor 1, which rules out a violation at
+    # every beta >= 1, so the violation is searched for only after a witness.
     if args.prop == "jr":
         report = jr_ratio(instance, stops)
-        witness = jr_violation(instance, stops, beta)
+        witness = report.witness and jr_violation(instance, stops, beta)
     elif args.prop == "core":
         alpha = _parse_alpha(args.alpha)
         try:
             report = core_ratio(instance, stops, alpha, backend=args.backend)
-            witness = core_violation(instance, stops, alpha, beta, backend=args.backend)
+            witness = report.witness and core_violation(instance, stops, alpha, beta,
+                                                        backend=args.backend)
         except ImportError:
             # Found above but broken: exit 1 would read as a witness.
             raise _CliError("--backend milp needs scipy")
     elif args.prop == "pf":
         clustering = induce_clustering(instance)
         report = pf_ratio(clustering, stops)
-        witness = pf_violation(clustering, stops, beta)
+        witness = report.witness and pf_violation(clustering, stops, beta)
     else:
         raise _CliError(f"unknown property {args.prop!r}")
     if args.json:

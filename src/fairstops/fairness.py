@@ -147,7 +147,9 @@ def _search(cy: np.ndarray, blocks, beta: float | None = None) -> Witness | None
         if beta is None:
             j = int(np.argmax(kth))
             if kth[j] > (found[2] if found else 1.0):
-                found = targets[j], ratios[j], float(kth[j])
+                # Copies, so that no view keeps this block alive once the
+                # search moves on.
+                found = targets[j].copy(), ratios[j].copy(), float(kth[j])
             continue
         hit = _reaches(kth, beta).nonzero()[0]
         if hit.size:
@@ -163,16 +165,6 @@ def _search(cy: np.ndarray, blocks, beta: float | None = None) -> Witness | None
 
 def _report(prop: str, alpha: Fraction | None, witness: Witness | None) -> FairnessReport:
     return FairnessReport(prop, alpha, witness.factor if witness else 1.0, witness)
-
-
-def _pair_ratios(instance: Instance, cy: np.ndarray):
-    """Every stop pair in lexicographic order, and its ``(pairs, agents)``
-    ratios, filled one block of the instance's pair table at a time."""
-    pairs = instance._pair_table[0]
-    ratios, start = np.empty((len(pairs), instance.n)), 0
-    for block, costs in stop_set_costs(instance, 2):
-        ratios[start:(start := start + len(block))] = _ratios(cy, costs)
-    return pairs, ratios
 
 
 def _as_alpha(alpha) -> Fraction:
@@ -199,9 +191,10 @@ def improving_pairs(instance: Instance, agent_index: int, solution, beta: float 
     _check_factor(beta, "beta")
     if not 0 <= (agent_index := operator.index(agent_index)) < instance.n:
         raise IndexError(f"agent index {agent_index} out of range for n={instance.n}")
-    cy = solution_costs(instance, solution)
-    pairs, ratios = _pair_ratios(instance, cy)
-    return [tuple(pair) for pair in pairs[_reaches(ratios[:, agent_index], beta)].tolist()]
+    cy = solution_costs(instance, solution)[agent_index]
+    pairs, routes = instance._pair_table
+    ct = np.minimum(instance._d_ab[agent_index], routes[:, agent_index])
+    return [tuple(pair) for pair in pairs[_reaches(_ratios(cy, ct), beta)].tolist()]
 
 
 def _jr(instance: Instance, solution, beta: float | None) -> Witness | None:
@@ -373,8 +366,12 @@ def _core_violation_milp(
 def _core_milp(instance, cy, alpha: Fraction, beta: float | None):
     """The integer program at ``beta``; without one, the tight core factor by
     a search over the finite ladder of realizable pair ratios (every
-    blockable factor is one of them)."""
-    pairs, ratios = _pair_ratios(instance, cy)
+    blockable factor is one of them).  The ``(pairs, agents)`` ratios are
+    filled one block of the instance's pair table at a time."""
+    pairs = instance._pair_table[0]
+    ratios, start = np.empty((len(pairs), instance.n)), 0
+    for block, costs in stop_set_costs(instance, 2):
+        ratios[start:(start := start + len(block))] = _ratios(cy, costs)
 
     def probe(rung: float) -> Witness | None:
         return _core_violation_milp(instance, cy, alpha, pairs, _reaches(ratios, rung))

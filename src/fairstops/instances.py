@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -482,14 +481,6 @@ def random_euclidean(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family name plus its parameter assignment."""
-
-    family: str
-    params: dict = field(default_factory=dict)
-
-
 FAMILIES = {
     "motivating": (motivating_instance, ()),
     "jr-lower": (jr_lower_instance, ()),
@@ -536,14 +527,12 @@ def canonical_family(name: str) -> str:
     return key
 
 
-def generate(spec: FamilySpec | str, **params):
-    """Build the named family instance; returns a line instance for ``line-pf``."""
-    if isinstance(spec, FamilySpec):
-        if params:
-            raise ValueError("pass parameters inside FamilySpec or as kwargs, not both")
-        name, params = spec.family, dict(spec.params)
-    else:
-        name = spec
+def generate(name: str, **params):
+    """Build the named family instance from its parameters as keywords, for
+    example ``generate("eca-jr-tight", eps=0.02)``; ``name`` may be any alias
+    :func:`canonical_family` resolves.  Returns a line instance for
+    ``line-pf``; an unknown name or a parameter the family does not take
+    raises ``ValueError``."""
     key = canonical_family(name)
     builder, allowed = FAMILIES[key]
     unknown = set(params) - set(allowed)

@@ -176,6 +176,9 @@ class Instance:
     k: int
     candidate_labels: tuple[str, ...] | None = None
 
+    #: True when every ride between candidate stops is free.
+    null_transit: bool = field(init=False, repr=False)
+
     # Derived tables, built in __post_init__ only on a valid structure;
     # reading an unbuilt one raises its first problem (__getattr__).  The
     # walk tables are stops first, (m, n): _d_ca[c, i] and _d_cb[c, i] are the
@@ -187,7 +190,6 @@ class Instance:
     _d_cb: np.ndarray = field(init=False, repr=False)
     _d_cc: np.ndarray = field(init=False, repr=False)
     _d_ab: np.ndarray = field(init=False, repr=False)
-    _null_transit: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         ep = np.asarray(self.endpoints, dtype=int).reshape(-1, 2)
@@ -200,7 +202,7 @@ class Instance:
             if len(labels) != len(cand):
                 raise ValueError("candidate_labels length must equal candidate count")
             object.__setattr__(self, "candidate_labels", labels)
-        object.__setattr__(self, "_null_transit", bool(np.all(self.transit.dist == 0.0)))
+        object.__setattr__(self, "null_transit", bool(np.all(self.transit.dist == 0.0)))
         if structure_problems(self):
             return
         d, (a, b) = self.walk.dist, ep.T
@@ -228,11 +230,22 @@ class Instance:
     def _pair_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Every unordered stop pair in lexicographic order, ``(C(m, 2), 2)``,
         and its :func:`route_costs` table, ``(C(m, 2), n)``, both read-only:
-        the one size-2 table the sweeps and verifiers read, built on first
-        use by :func:`stop_set_table`."""
-        pairs, routes = stop_set_table(self.m, 2, self.n, functools.partial(route_costs, self))
+        the one size-2 table the sweeps and verifiers read.  Built on first
+        use into arrays allocated once, one :func:`stop_sets` block at a
+        time, so the build holds the table and one block's routes."""
+        total, start = math.comb(self.m, 2), 0
+        pairs, routes = np.empty((total, 2), dtype=int), np.empty((total, self.n))
+        for block in stop_sets(self.m, 2, self.n):
+            rows = slice(start, start := start + len(block))
+            pairs[rows], routes[rows] = block, route_costs(self, block)
         pairs.flags.writeable = routes.flags.writeable = False
         return pairs, routes
+
+    def __reduce__(self):
+        # Pickle and copy carry the six inputs only: the derived tables and
+        # the cached pair table are rebuilt from them.
+        return type(self), (self.endpoints, self.candidates, self.walk, self.transit, self.k,
+                            self.candidate_labels)
 
     def __getattr__(self, name):
         # Only reached for an attribute that was never set.
@@ -247,11 +260,6 @@ class Instance:
     @property
     def m(self) -> int:
         return self.candidates.shape[0]
-
-    @property
-    def null_transit(self) -> bool:
-        """True when every ride between candidate stops is free."""
-        return self._null_transit
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Instance):
@@ -468,18 +476,6 @@ def check_stop_sets(m: int, sizes) -> None:
         raise EnumerationGuardError(
             f"an exhaustive search over {count} stop sets exceeds the limit of {MAX_STOP_SETS}"
         )
-
-
-def stop_set_table(m: int, size: int, n: int, kernel) -> tuple[np.ndarray, np.ndarray]:
-    """Every ``size``-subset of the ``m`` candidates as one ``(sets, size)``
-    array, and the ``(sets, n)`` table ``kernel`` gives them, both allocated
-    once and filled one :func:`stop_sets` block at a time."""
-    total, start = math.comb(m, size), 0
-    sets, table = np.empty((total, size), dtype=int), np.empty((total, n))
-    for block in stop_sets(m, size, n):
-        rows = slice(start, start := start + len(block))
-        sets[rows], table[rows] = block, kernel(block)
-    return sets, table
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from fairstops.algorithms import HybridParams, coverage_threshold
+from fairstops.algorithms import coverage_threshold
 from fairstops.model import (
     Instance,
     RunTrace,
@@ -267,7 +267,7 @@ def _bump_until(value: float, lam: float) -> float:
     return r
 
 
-def hybrid_loop(instance: Instance, params: HybridParams | float) -> tuple[Solution, RunTrace]:
+def hybrid_loop(instance: Instance, lam: float) -> tuple[Solution, RunTrace]:
     """One sweep that interleaves pair openings and single-stop openings.
 
     Under radius ``r``, in fixed phase order per trigger radius: (1) whole
@@ -287,9 +287,9 @@ def hybrid_loop(instance: Instance, params: HybridParams | float) -> tuple[Solut
     on the induced clustering and with it the core guarantee.  Costs reported
     for the returned placement still include walking.
     """
-    if not isinstance(params, HybridParams):
-        params = HybridParams(float(params))
-    lam = params.lam
+    lam = float(lam)
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lam must lie in [0, 1], got {lam}")
     require_valid_structure(instance)
     n, m, k = instance.n, instance.m, instance.k
     thr = coverage_threshold(n, k)

@@ -223,7 +223,7 @@ def test_hybrid_two_line_family_factor_matches_oracle(lam):
 def test_hybrid_full_weight_equals_greedy_capture_on_core_family():
     inst = fs.generate("gc-core-tight", eps=0.01, h=10)
     s_gc, _ = fs.gc_trsp(inst)
-    s_hy, _ = fs.hybrid(inst, fs.HybridParams(1.0))
+    s_hy, _ = fs.hybrid(inst, 1.0)
     assert s_gc.stops == s_hy.stops
 
 
@@ -270,10 +270,10 @@ def test_sweeps_force_retire_unreachable_endpoints():
 
 def test_hybrid_rejects_bad_weight():
     inst = fs.generate("eca-jr-tight", eps=0.01)
-    with pytest.raises(ValueError):
-        fs.hybrid(inst, 1.5)
-    with pytest.raises(ValueError):
-        fs.HybridParams(-0.1)
+    for sweep in (fs.hybrid, hybrid_loop):
+        for lam in (1.5, -0.1, math.nan):
+            with pytest.raises(ValueError, match="lam must lie in"):
+                sweep(inst, lam)
 
 
 def test_sweeps_reject_zero_budget():

@@ -235,6 +235,24 @@ def test_verify_zero_cost_solution_holds_everywhere(tmp_path, capsys):
         assert code == 0
 
 
+def test_verify_searches_a_violation_only_after_a_witness(tmp_path, capsys, monkeypatch):
+    # The report's factor is 1 here, which settles every beta >= 1: the
+    # violation's integer program, the ratio's first one again, is not solved.
+    path = tmp_path / "r.json"
+    fs.write_instance(fs.random_euclidean(14, 6, 6, 4, transit="random"), path)
+    solves, real_milp = [], fs.fairness.milp
+
+    def counting_milp(*args, **kwargs):
+        solves.append(1)
+        return real_milp(*args, **kwargs)
+
+    monkeypatch.setattr(fs.fairness, "milp", counting_milp)
+    code, stdout, _ = run_cli(capsys, "verify", "--instance", str(path), "--solution", "",
+                              "--prop", "core", "--alpha", "1", "--backend", "milp")
+    assert code == 0 and "tight factor: 1.0\nholds at beta=1.0: yes\n" in stdout
+    assert len(solves) == 1
+
+
 def test_verify_core_guard_exits_3(tmp_path, capsys):
     # m=40, k=12 at alpha 1 lists sum(C(40, s) for s in 1..12) stop sets.
     inst = fs.random_euclidean(3, 40, 12, seed=0)
@@ -497,6 +515,34 @@ def test_experiment_bad_transit_factor_exit_2(tmp_path, capsys, factor):
         capsys, "experiment", "--out", str(out), "--transit", f"scaled:{factor}"
     )
     assert code == 2 and "--transit" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(["verify", "--solution", "1,x"], "solution", id="verify-solution-token"),
+    pytest.param(["verify", "--solution", "99"], "solution index", id="verify-solution-range"),
+    pytest.param(["verify", "--alpha", "abc"], "alpha", id="verify-alpha-text"),
+    pytest.param(["verify", "--alpha", "1/2"], "alpha must be >= 1", id="verify-alpha-below-1"),
+    pytest.param(["experiment", "--algs", "hybrid:x"], "hybrid weight", id="exp-algs-weight"),
+    pytest.param(["experiment", "--algs", "hybrid:1.5"], "hybrid weight", id="exp-algs-range"),
+    pytest.param(["experiment", "--transit", "scaled:x"], "--transit", id="exp-transit"),
+    pytest.param(["experiment", "--checks", ","], "check", id="exp-checks-empty"),
+    pytest.param(["experiment", "--rounds", "0"], "rounds", id="exp-rounds"),
+    pytest.param(["experiment", "--family", "line-pf"], "line instances", id="exp-line-family"),
+    pytest.param(["experiment", "--k", ""], "--k", id="exp-k-empty"),
+])
+def test_refusals_name_their_flag(tmp_path, capsys, argv, named):
+    out = tmp_path / "x.csv"
+    if argv[0] == "verify":
+        path = tmp_path / "t3.json"
+        fs.write_instance(fs.generate("table3"), path)
+        solution = [] if "--solution" in argv else ["--solution", "0"]
+        argv = [*argv, "--instance", str(path), "--prop", "core", *solution]
+    else:
+        argv = [*argv, "--out", str(out)]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert named in err
     assert not out.exists()
 
 

@@ -1,6 +1,8 @@
-"""Every demo script runs to completion against the package in ``src``."""
+"""Every demo script, and the README's Python blocks, run to completion
+against the package in ``src``."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
@@ -28,3 +31,13 @@ def test_demo_exits_0(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert not any(tmpdir.iterdir()), sorted(p.name for p in tmpdir.iterdir())
+
+
+def test_readme_python_blocks_run(tmp_path):
+    # In order and in one interpreter, as a reader pastes them: a later block
+    # uses the names an earlier one made.
+    assert README_BLOCKS
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", "\n".join(README_BLOCKS)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -272,7 +272,7 @@ def test_core_milp_screen_agrees_with_enumeration(monkeypatch):
             inst = fs.random_euclidean(4 + seed % 3, m, m, seed, transit=transit)
             for sol in ((), fs.eca(inst)[0].stops):
                 cy = fs.solution_costs(inst, sol)
-                _, ratios = fs.fairness._pair_ratios(inst, cy)
+                ratios = fs.fairness._ratios(cy, np.minimum(inst._d_ab, inst._pair_table[1]))
                 for beta in [1.0] + np.unique(ratios[ratios > 1.0]).tolist():
                     for alpha in (1, Fraction(3, 2), 2):
                         exact = fs.core_violation(inst, sol, alpha, beta)

@@ -219,14 +219,13 @@ def test_family_param_validation():
         fs.generate("no-such-family")
 
 
-def test_generate_accepts_spec_objects_and_aliases():
-    spec = fs.FamilySpec("ECA_JR_TIGHT_TABLE5", {"eps": 0.02})
-    inst = fs.generate(spec)
-    assert inst.n == 4
+def test_generate_accepts_aliases():
+    inst = fs.generate("ECA_JR_TIGHT_TABLE5", eps=0.02)
+    assert inst == fs.generate("eca-jr-tight", eps=0.02) and inst.n == 4
     assert fs.canonical_family("fig7") == "line-pf"
     assert fs.canonical_family("GC_CORE_TIGHT_TABLE4") == "gc-core-tight"
     with pytest.raises(ValueError):
-        fs.generate(fs.FamilySpec("jr-lower"), eps=0.1)
+        fs.generate("table3", eps=0.1)
 
 
 def test_line_family():
@@ -411,6 +410,23 @@ def test_bad_value_reports_field(tmp_path, field, index, value):
     path = tmp_path / "a.json"
     write_bad_field_value(path, field, index, value)
     with pytest.raises(fs.InstanceParseError, match=f"'{field}'"):
+        fs.read_instance(path)
+
+
+@pytest.mark.parametrize("field, value, named", [
+    pytest.param(None, [1, 2], "top level", id="top-level-list"),
+    pytest.param("endpoints", [[0, 1]], "'endpoints' must list 4", id="endpoints-count"),
+    pytest.param("endpoints", [[0, 1]] * 3 + [5], "'endpoints' entries", id="endpoints-entry"),
+    pytest.param("candidates", [8, 9], "'candidates' must list 4", id="candidates-count"),
+    pytest.param("labels", ["a"], "'labels' must list 4", id="labels-count"),
+])
+def test_reader_refuses_a_malformed_structure(tmp_path, field, value, named):
+    path = tmp_path / "a.json"
+    if field is None:
+        path.write_text(json.dumps(value))
+    else:
+        write_bad_field_value(path, field, None, value)
+    with pytest.raises(fs.InstanceParseError, match=named):
         fs.read_instance(path)
 
 

@@ -3,7 +3,6 @@
 import concurrent.futures
 import copy
 import dataclasses
-import functools
 import itertools
 import math
 import pickle
@@ -262,21 +261,21 @@ def test_route_cost_block_stays_near_budget():
         assert peak <= 1.25 * model.BLOCK_FLOATS * 8, (size, len(block), peak)
 
 
-def test_stop_set_table_holds_the_table_once():
+def test_pair_table_holds_the_table_once():
     inst = fs.random_euclidean(1000, 60, 8, 0, transit="random")
-    kernel = functools.partial(fs.route_costs, inst)
     tracemalloc.start()
     try:
-        sets, table = model.stop_set_table(inst.m, 2, inst.n, kernel)
+        sets, table = inst._pair_table
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= table.nbytes + 1.25 * model.BLOCK_FLOATS * 8, (table.nbytes, peak)
     blocks = list(model.stop_sets(inst.m, 2, inst.n))
     assert sets.tobytes() == np.concatenate(blocks).tobytes()
-    assert table.tobytes() == np.concatenate([kernel(block) for block in blocks]).tobytes()
-    sets, table = model.stop_set_table(3, 4, 5, kernel)
-    assert sets.shape == (0, 4) and table.shape == (0, 5)
+    assert table.tobytes() == np.concatenate([fs.route_costs(inst, b) for b in blocks]).tobytes()
+    lone = fs.Instance([(0, 1)], [0], fs.Metric([[0, 1], [1, 0]]), fs.Metric([[0]]), 1)
+    sets, table = lone._pair_table
+    assert sets.shape == (0, 2) and table.shape == (0, 1)
 
 
 def test_stop_sets_list_every_subset_in_order():
@@ -324,15 +323,16 @@ def test_one_set_blocks_change_nothing(corpus, corpus_random_transit, monkeypatc
 
 
 def count_pair_tables(monkeypatch) -> list[int]:
-    """Patch ``model.stop_set_table`` to record every size-2 table it builds."""
-    built, original = [], model.stop_set_table
+    """Patch ``model.stop_sets`` to record every listing of stop pairs, the
+    one way a pair table is built."""
+    built, original = [], model.stop_sets
 
-    def counted(m, size, n, kernel):
+    def counted(m, size, n):
         if size == 2:
             built.append(m)
-        return original(m, size, n, kernel)
+        return original(m, size, n)
 
-    monkeypatch.setattr(model, "stop_set_table", counted)
+    monkeypatch.setattr(model, "stop_sets", counted)
     return built
 
 
@@ -354,9 +354,10 @@ def test_pair_table_is_built_once_and_shared(monkeypatch):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 0
-    expected = model.stop_set_table(inst.m, 2, inst.n, functools.partial(fs.route_costs, inst))
-    assert pairs.tobytes() == expected[0].tobytes() and pairs.shape == expected[0].shape
-    assert routes.tobytes() == expected[1].tobytes() and routes.shape == expected[1].shape
+    expected = np.array(list(itertools.combinations(range(inst.m), 2)))
+    assert pairs.tobytes() == expected.tobytes() and pairs.shape == expected.shape
+    expected = fs.route_costs(inst, expected)
+    assert routes.tobytes() == expected.tobytes() and routes.shape == expected.shape
 
 
 def test_pair_table_first_fill_under_threads():
@@ -399,15 +400,19 @@ def test_verifiers_hold_one_block_beside_the_cached_table():
     # At alpha 4 the core lists single stops and pairs only, the pairs from
     # the cached table; alpha 2 would add 0.5 M sets of three and four stops,
     # which read no pair table, for about 40 s.
+    peaks = []
     for check in (lambda: fs.jr_ratio(inst, sol), lambda: fs.jr_violation(inst, sol),
                   lambda: fs.core_ratio(inst, sol, 4)):
         tracemalloc.start()
         try:
             check()
-            peak = tracemalloc.get_traced_memory()[1]
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * model.BLOCK_FLOATS * 8, peak
+        assert peaks[-1] <= 2 * model.BLOCK_FLOATS * 8, peaks
+    # jr_ratio peaked at 9.78 MiB when its best target's ratios were a view
+    # that kept that target's whole block alive; with a copy, 8.19 MiB.
+    assert peaks[0] <= 9 * 2**20, peaks
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +582,20 @@ def test_trace_type_helpers():
     trace = fs.RunTrace((ev,))
     assert trace.opened() == (2,)
     assert trace.radii() == (1.0,)
+
+
+def test_instance_pickles_and_copies_only_its_inputs():
+    # The derived tables and the cached pair table are rebuilt, not carried.
+    for inst in (fs.random_euclidean(200, 30, 6, 0, transit="random"),
+                 fs.generate("gc-jr-tight", eps=0.01)):
+        size = len(pickle.dumps(inst))
+        solved = fs.eca(inst)
+        assert "_pair_table" in vars(inst)
+        assert len(pickle.dumps(inst)) == size
+        for twin in (pickle.loads(pickle.dumps(inst)), copy.copy(inst), copy.deepcopy(inst)):
+            assert "_pair_table" not in vars(twin)
+            assert twin == inst and twin.candidate_labels == inst.candidate_labels
+            assert fs.eca(twin) == solved
 
 
 def test_trace_survives_pickle_copy_and_hash():
