@@ -16,20 +16,19 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .algorithms import (
-    ECA_JR_FACTOR,
-    GC_JR_FACTOR,
-    eca,
-    exact_min_cost,
-    gc_trsp,
-    hybrid,
-    hybrid_jr_factor,
+from .algorithms import eca, exact_min_cost, gc_trsp, hybrid
+from .fairness import (
+    _as_alpha,
+    core_ratio,
+    core_violation,
+    jr_ratio,
+    jr_violation,
+    pf_ratio,
+    pf_violation,
 )
-from .fairness import core_ratio, core_violation, jr_ratio, jr_violation, pf_ratio, pf_violation
 from .instances import (
     FAMILIES,
     InstanceParseError,
-    canonical_family,
     generate,
     random_euclidean,
     read_instance,
@@ -40,7 +39,6 @@ from .model import (
     Instance,
     induce_clustering,
     solution_costs,
-    structure_problems,
     total_cost,
     validate_instance,
 )
@@ -61,9 +59,7 @@ GUARD_ERROR = 3
 
 
 class _CliError(Exception):
-    def __init__(self, message: str, code: int = USAGE_ERROR):
-        super().__init__(message)
-        self.code = code
+    """A refusal of the command line's input: exit 2."""
 
 
 def _label(instance: Instance, c: int) -> str:
@@ -85,20 +81,21 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _collect_family_params(args) -> dict:
+def _generate(args):
+    """The ``--family`` instance built from the family parameter flags given."""
     params = {}
     for name, _, _ in _FAMILY_PARAM_FLAGS:
-        value = getattr(args, name, None)
+        value = getattr(args, name)
         if value is not None:
             params[name] = value
-    return params
+    try:
+        return generate(args.family, **params)
+    except (ValueError, TypeError) as exc:
+        raise _CliError(str(exc))
 
 
 def _cmd_gen(args) -> int:
-    try:
-        built = generate(args.family, **_collect_family_params(args))
-    except (ValueError, TypeError) as exc:
-        raise _CliError(str(exc))
+    built = _generate(args)
     if isinstance(built, Instance):
         issues = validate_instance(built)
         if issues:
@@ -131,32 +128,29 @@ def _cmd_gen(args) -> int:
 
 def _load_instance(path) -> Instance:
     try:
-        instance = read_instance(path)
+        return read_instance(path)
     except InstanceParseError as exc:
         raise _CliError(str(exc))
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}")
-    problems = structure_problems(instance)
-    if problems:
-        raise _CliError(f"{path}: " + "; ".join(problems))
-    return instance
 
 
-def _run_algorithm(instance: Instance, alg: str, lam: float | None):
+def _sweep(alg: str, lam: float | None, flag: str):
+    """The CSV name of sweep ``alg`` at weight ``lam`` and a callable that runs
+    it on an instance; a weight outside [0, 1] is refused naming ``flag``.  The
+    callable looks the sweep up in this module when called, not now."""
     if alg == "gc":
-        return gc_trsp(instance)
+        return alg, lambda inst: gc_trsp(inst)
     if alg == "eca":
-        return eca(instance)
-    if alg == "hybrid":
-        if lam is None or not 0.0 <= lam <= 1.0:
-            raise _CliError(f"hybrid needs --lam in [0, 1], got {lam}")
-        return hybrid(instance, lam)
-    raise _CliError(f"unknown algorithm {alg!r}")
+        return alg, lambda inst: eca(inst)
+    if lam is None or not 0.0 <= lam <= 1.0:
+        raise _CliError(f"{flag}: hybrid weight must lie in [0, 1], got {lam}")
+    return f"hybrid:{lam}", lambda inst: hybrid(inst, lam)
 
 
 def _cmd_run(args) -> int:
     instance = _load_instance(args.instance)
-    solution, trace = _run_algorithm(instance, args.alg, args.lam)
+    solution, trace = _sweep(args.alg, args.lam, "--lam")[1](instance)
     print("stops:", " ".join(_label(instance, c) for c in solution) or "(none)")
     print("stop indices:", ",".join(str(c) for c in solution))
     costs = solution_costs(instance, solution)
@@ -190,9 +184,9 @@ def _parse_solution(text: str, instance: Instance) -> tuple[int, ...]:
     try:
         stops = tuple(sorted({int(tok) for tok in text.split(",")}))
     except ValueError:
-        raise _CliError(f"solution must be comma-separated indices, got {text!r}")
+        raise _CliError(f"--solution must be comma-separated indices, got {text!r}")
     if stops and (stops[0] < 0 or stops[-1] >= instance.m):
-        raise _CliError(f"solution index out of range [0, {instance.m})")
+        raise _CliError(f"--solution index out of range [0, {instance.m})")
     if len(stops) > instance.k:
         raise _CliError(f"--solution has {len(stops)} stops, over the budget k={instance.k}")
     return stops
@@ -200,22 +194,9 @@ def _parse_solution(text: str, instance: Instance) -> tuple[int, ...]:
 
 def _parse_alpha(text: str) -> Fraction:
     try:
-        alpha = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise _CliError(f"alpha must be a rational like 2 or 59/30, got {text!r}")
-    if alpha < 1:
-        raise _CliError(f"alpha must be >= 1, got {text}")
-    return alpha
-
-
-def _print_witness(instance: Instance, witness) -> None:
-    print("witness coalition:", ",".join(str(i) for i in witness.coalition))
-    print(
-        "witness deviation:",
-        ",".join(str(c) for c in witness.deviation),
-        "(" + " ".join(_label(instance, c) for c in witness.deviation) + ")",
-    )
-    print("witness factor:", _fmt(witness.factor))
+        return _as_alpha(text)
+    except ValueError as exc:
+        raise _CliError(f"--alpha: {exc}")
 
 
 def _scipy_available() -> bool:
@@ -234,29 +215,26 @@ def _cmd_verify(args) -> int:
         raise _CliError("--backend milp needs scipy")
     instance = _load_instance(args.instance)
     stops = _parse_solution(args.solution, instance)
-    beta = args.beta if args.beta is not None else 1.0
-    if not beta >= 1:
-        raise _CliError(f"--beta must be >= 1, got {beta}")
+    if not args.beta >= 1:
+        raise _CliError(f"--beta must be >= 1, got {args.beta}")
     # A report without a witness has factor 1, which rules out a violation at
     # every beta >= 1, so the violation is searched for only after a witness.
     if args.prop == "jr":
         report = jr_ratio(instance, stops)
-        witness = report.witness and jr_violation(instance, stops, beta)
+        witness = report.witness and jr_violation(instance, stops, args.beta)
     elif args.prop == "core":
         alpha = _parse_alpha(args.alpha)
         try:
             report = core_ratio(instance, stops, alpha, backend=args.backend)
-            witness = report.witness and core_violation(instance, stops, alpha, beta,
+            witness = report.witness and core_violation(instance, stops, alpha, args.beta,
                                                         backend=args.backend)
         except ImportError:
             # Found above but broken: exit 1 would read as a witness.
             raise _CliError("--backend milp needs scipy")
-    elif args.prop == "pf":
+    else:
         clustering = induce_clustering(instance)
         report = pf_ratio(clustering, stops)
-        witness = report.witness and pf_violation(clustering, stops, beta)
-    else:
-        raise _CliError(f"unknown property {args.prop!r}")
+        witness = report.witness and pf_violation(clustering, stops, args.beta)
     if args.json:
         doc = {
             "property": report.prop,
@@ -271,9 +249,15 @@ def _cmd_verify(args) -> int:
     if args.prop == "core":
         print("alpha:", args.alpha)
     print("tight factor:", _fmt(report.factor))
-    print(f"holds at beta={_fmt(beta)}:", "no" if witness else "yes")
+    print(f"holds at beta={_fmt(args.beta)}:", "no" if witness else "yes")
     if witness:
-        _print_witness(instance, witness)
+        print("witness coalition:", ",".join(str(i) for i in witness.coalition))
+        print(
+            "witness deviation:",
+            ",".join(str(c) for c in witness.deviation),
+            "(" + " ".join(_label(instance, c) for c in witness.deviation) + ")",
+        )
+        print("witness factor:", _fmt(witness.factor))
         return 1
     return 0
 
@@ -299,28 +283,19 @@ CSV_COLUMNS = (
 )
 
 
-def _parse_algs(text: str) -> list[tuple[str, float | None]]:
-    out: list[tuple[str, float | None]] = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if tok in ("gc", "eca"):
-            out.append((tok, None))
-        elif tok == "hybrid" or tok.startswith("hybrid:"):
-            lam = 0.5
-            if tok != "hybrid":
-                try:
-                    lam = float(tok.split(":", 1)[1])
-                except ValueError:
-                    raise _CliError(f"bad hybrid weight in {tok!r}")
-            if not 0.0 <= lam <= 1.0:
-                raise _CliError(f"hybrid weight must lie in [0, 1], got {lam}")
-            out.append(("hybrid", lam))
-        else:
-            raise _CliError(f"unknown algorithm {tok!r}")
+def _parse_algs(text: str) -> list:
+    out = []
+    for tok in [tok.strip() for tok in text.split(",") if tok.strip()]:
+        alg, colon, weight = tok.partition(":")
+        if alg != "hybrid" and (colon or alg not in ("gc", "eca")):
+            raise _CliError(f"--algs: unknown algorithm {tok!r}")
+        try:  # a bare "hybrid" mixes at 0.5; gc and eca take no weight
+            lam = float(weight) if colon else 0.5
+        except ValueError:
+            raise _CliError(f"--algs: bad hybrid weight in {tok!r}")
+        out.append(_sweep(alg, lam, "--algs"))
     if not out:
-        raise _CliError("need at least one algorithm")
+        raise _CliError("--algs: need at least one algorithm")
     return out
 
 
@@ -340,21 +315,44 @@ def _parse_transit(text: str) -> tuple[str, float, str]:
     raise _CliError(f"--transit must be null, random or scaled:<factor>, got {text!r}")
 
 
-def _alg_name(alg: str, lam: float | None) -> str:
-    return f"hybrid:{lam}" if alg == "hybrid" else alg
+def _guarded(measure) -> str:
+    """``measure()`` formatted, or ``"error"`` when it trips the enumeration guard."""
+    try:
+        return _fmt(measure())
+    except EnumerationGuardError:
+        return "error"
+
+
+def _measures(inst: Instance, sweep, checks, alpha) -> dict:
+    """The measured CSV cells of one row: the placement of ``sweep`` and its
+    checks, or the exact minimum cost when ``sweep`` is None."""
+    if sweep is None:
+        return {"total_cost": _guarded(lambda: exact_min_cost(inst)[1])}
+    solution, _ = sweep(inst)
+    cells = {"total_cost": _fmt(total_cost(inst, solution))}
+    if "jr" in checks:
+        cells["jr_factor"] = _fmt(jr_ratio(inst, solution).factor)
+    if "core" in checks:
+        cells["core_alpha"] = str(alpha)
+        cells["core_factor"] = _guarded(lambda: core_ratio(inst, solution, alpha).factor)
+    if "pf" in checks:
+        cells["pf_factor"] = _fmt(pf_ratio(induce_clustering(inst), solution.stops).factor)
+    return cells
 
 
 def _cmd_experiment(args) -> int:
     checks = [tok.strip() for tok in args.checks.split(",") if tok.strip()]
     unknown = set(checks) - {"jr", "core", "pf", "mincost"}
     if unknown:
-        raise _CliError(f"unknown checks: {sorted(unknown)}")
+        raise _CliError(f"--checks: unknown checks: {sorted(unknown)}")
     if not checks:
-        raise _CliError("need at least one check")
+        raise _CliError("--checks: need at least one check")
     algs = _parse_algs(args.algs)
     alpha = _parse_alpha(args.alpha)
     if args.rounds < 1:
-        raise _CliError("rounds must be >= 1")
+        raise _CliError("--rounds must be >= 1")
+    if args.seed_base < 0:
+        raise _CliError(f"--seed-base must be >= 0, got {args.seed_base}")
     mode, factor, scale_label = _parse_transit(args.transit)
     try:
         ks = [int(tok) for tok in str(args.k).split(",") if tok.strip()]
@@ -366,12 +364,9 @@ def _cmd_experiment(args) -> int:
     if args.instance:
         fixed = _load_instance(args.instance)
     elif args.family:
-        try:
-            fixed = generate(args.family, **_collect_family_params(args))
-        except (ValueError, TypeError) as exc:
-            raise _CliError(str(exc))
+        fixed = _generate(args)
         if not isinstance(fixed, Instance):
-            raise _CliError("line instances are not supported by experiment")
+            raise _CliError("--family: line instances are not supported by experiment")
     else:
         if not ks:
             raise _CliError("random experiments need --k")
@@ -381,66 +376,24 @@ def _cmd_experiment(args) -> int:
         if max(ks) > args.m:
             raise _CliError(f"--k budget {max(ks)} exceeds --m {args.m}")
 
+    if "mincost" in checks:
+        algs.append(("mincost", None))  # one exact-optimum row per instance
     rows = []
-    for round_idx in range(args.rounds):
-        seed = args.seed_base + round_idx
+    for seed in range(args.seed_base, args.seed_base + args.rounds):
         if fixed is not None:
-            instances = [(seed, fixed)]
+            instances = [fixed]
         else:
             instances = [
-                (seed, random_euclidean(args.n, args.m, k, seed, transit=mode, factor=factor))
+                random_euclidean(args.n, args.m, k, seed, transit=mode, factor=factor)
                 for k in ks
             ]
-        for seed_val, inst in instances:
-            for alg, lam in algs:
-                row = {
-                    "seed": seed_val,
-                    "n": inst.n,
-                    "m": inst.m,
-                    "k": inst.k,
-                    "transit_scale": scale_label,
-                    "algorithm": _alg_name(alg, lam),
-                    "jr_factor": "",
-                    "core_alpha": "",
-                    "core_factor": "",
-                    "pf_factor": "",
-                    "total_cost": "",
-                    "runtime_ms": "",
-                }
+        for inst in instances:
+            for name, sweep in algs:
+                row = dict.fromkeys(CSV_COLUMNS, "")
+                row.update(seed=seed, n=inst.n, m=inst.m, k=inst.k,
+                           transit_scale=scale_label, algorithm=name)
                 t0 = time.perf_counter()
-                solution, _ = _run_algorithm(inst, alg, lam)
-                row["total_cost"] = _fmt(total_cost(inst, solution))
-                if "jr" in checks:
-                    row["jr_factor"] = _fmt(jr_ratio(inst, solution).factor)
-                if "core" in checks:
-                    row["core_alpha"] = str(alpha)
-                    try:
-                        row["core_factor"] = _fmt(core_ratio(inst, solution, alpha).factor)
-                    except EnumerationGuardError:
-                        row["core_factor"] = "error"
-                if "pf" in checks:
-                    row["pf_factor"] = _fmt(
-                        pf_ratio(induce_clustering(inst), solution.stops).factor
-                    )
-                if args.timing:
-                    row["runtime_ms"] = f"{(time.perf_counter() - t0) * 1e3:.3f}"
-                rows.append(row)
-            if "mincost" in checks:
-                row = {col: "" for col in CSV_COLUMNS}
-                row.update(
-                    seed=seed_val,
-                    n=inst.n,
-                    m=inst.m,
-                    k=inst.k,
-                    transit_scale=scale_label,
-                    algorithm="mincost",
-                )
-                t0 = time.perf_counter()
-                try:
-                    _, optimum = exact_min_cost(inst)
-                    row["total_cost"] = _fmt(optimum)
-                except EnumerationGuardError:
-                    row["total_cost"] = "error"
+                row.update(_measures(inst, sweep, checks, alpha))
                 if args.timing:
                     row["runtime_ms"] = f"{(time.perf_counter() - t0) * 1e3:.3f}"
                 rows.append(row)
@@ -493,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--solution", required=True, help="comma-separated candidate indices")
     verify.add_argument("--prop", required=True, choices=("jr", "core", "pf"))
     verify.add_argument("--alpha", default="1", help="coalition-size factor (core)")
-    verify.add_argument("--beta", type=float, help="cost factor to test (default 1)")
+    verify.add_argument("--beta", type=float, default=1.0, help="cost factor to test (default 1)")
     verify.add_argument("--backend", default="enumerate", choices=("enumerate", "milp"))
     verify.add_argument("--json", action="store_true", help="emit the report as one JSON object")
     verify.set_defaults(func=_cmd_verify)
@@ -533,7 +486,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return USAGE_ERROR
     except EnumerationGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return GUARD_ERROR

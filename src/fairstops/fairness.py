@@ -170,7 +170,7 @@ def _report(prop: str, alpha: Fraction | None, witness: Witness | None) -> Fairn
 def _as_alpha(alpha) -> Fraction:
     try:
         frac = Fraction(alpha)
-    except (OverflowError, ValueError):  # inf and nan have no exact ratio
+    except (OverflowError, ValueError, ZeroDivisionError):  # inf, nan and 1/0 have no ratio
         frac = None
     if frac is None or frac < 1:
         raise ValueError(f"alpha must be >= 1 and finite, got {alpha}")

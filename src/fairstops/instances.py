@@ -457,6 +457,8 @@ def random_euclidean(
     """
     if n < 1 or m < 1 or not 1 <= k <= m:
         raise ValueError(f"need n, m >= 1 and 1 <= k <= m, got n={n} m={m} k={k}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if transit not in TRANSIT_MODES:
         raise ValueError(f"transit must be one of {TRANSIT_MODES}, got {transit!r}")
     if not (math.isfinite(factor) and factor >= 0.0):
@@ -611,8 +613,9 @@ def write_instance(instance: Instance, path) -> None:
 def read_instance(path) -> Instance:
     """Read an instance file written by :func:`write_instance` (any key order).
 
-    Every distance entry must be a number >= 0 or ``"inf"``, and on a sound
-    structure the walk must meet :func:`~fairstops.model.walk_bound_problem`'s
+    Every distance entry must be a number >= 0 or ``"inf"``, the structure
+    must show no :func:`~fairstops.model.structure_problems` (budget, index
+    ranges), and the walk must meet :func:`~fairstops.model.walk_bound_problem`'s
     bound (O(n * m)); the other metric axioms cost O(p^3) and are left to
     :func:`validate_instance`.
     """
@@ -653,6 +656,8 @@ def read_instance(path) -> Instance:
             raise InstanceParseError(f"{path}: field 'labels' must list {m} names")
         labels = tuple(str(s) for s in labels)
     instance = _instance(endpoints, candidates, walk, transit, k, labels)
-    if not structure_problems(instance) and (problem := walk_bound_problem(instance)):
+    if problems := structure_problems(instance):
+        raise InstanceParseError(f"{path}: " + "; ".join(problems))
+    if problem := walk_bound_problem(instance):
         raise InstanceParseError(f"{path}: field 'walk': {problem}")
     return instance

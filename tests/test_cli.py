@@ -519,16 +519,24 @@ def test_experiment_bad_transit_factor_exit_2(tmp_path, capsys, factor):
 
 
 @pytest.mark.parametrize("argv, named", [
-    pytest.param(["verify", "--solution", "1,x"], "solution", id="verify-solution-token"),
-    pytest.param(["verify", "--solution", "99"], "solution index", id="verify-solution-range"),
-    pytest.param(["verify", "--alpha", "abc"], "alpha", id="verify-alpha-text"),
-    pytest.param(["verify", "--alpha", "1/2"], "alpha must be >= 1", id="verify-alpha-below-1"),
-    pytest.param(["experiment", "--algs", "hybrid:x"], "hybrid weight", id="exp-algs-weight"),
-    pytest.param(["experiment", "--algs", "hybrid:1.5"], "hybrid weight", id="exp-algs-range"),
+    pytest.param(["verify", "--solution", "1,x"], "--solution", id="verify-solution-token"),
+    pytest.param(["verify", "--solution", "99"], "--solution index", id="verify-solution-range"),
+    pytest.param(["verify", "--alpha", "abc"], "--alpha", id="verify-alpha-text"),
+    pytest.param(["verify", "--alpha", "1/0"], "--alpha", id="verify-alpha-zero-denominator"),
+    pytest.param(["verify", "--alpha", "1/2"], "--alpha: alpha must be >= 1",
+                 id="verify-alpha-below-1"),
+    pytest.param(["experiment", "--algs", "hybrid:x"], "--algs: bad hybrid weight",
+                 id="exp-algs-weight"),
+    pytest.param(["experiment", "--algs", "hybrid:1.5"], "--algs: hybrid weight",
+                 id="exp-algs-range"),
+    pytest.param(["experiment", "--algs", "gc:1"], "--algs: unknown", id="exp-algs-unknown"),
     pytest.param(["experiment", "--transit", "scaled:x"], "--transit", id="exp-transit"),
-    pytest.param(["experiment", "--checks", ","], "check", id="exp-checks-empty"),
-    pytest.param(["experiment", "--rounds", "0"], "rounds", id="exp-rounds"),
-    pytest.param(["experiment", "--family", "line-pf"], "line instances", id="exp-line-family"),
+    pytest.param(["experiment", "--checks", ","], "--checks: need at least one check",
+                 id="exp-checks-empty"),
+    pytest.param(["experiment", "--rounds", "0"], "--rounds", id="exp-rounds"),
+    pytest.param(["experiment", "--seed-base", "-1"], "--seed-base", id="exp-seed-base"),
+    pytest.param(["experiment", "--family", "line-pf"], "--family: line instances",
+                 id="exp-line-family"),
     pytest.param(["experiment", "--k", ""], "--k", id="exp-k-empty"),
 ])
 def test_refusals_name_their_flag(tmp_path, capsys, argv, named):

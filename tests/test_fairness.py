@@ -438,6 +438,7 @@ def test_verifiers_reject_nan_factor(table5):
         lambda: fs.improving_pairs(inst, 0, sol, nan),
         lambda: fs.core_ratio(inst, sol, nan),
         lambda: fs.core_ratio(inst, sol, INF),
+        lambda: fs.core_ratio(inst, sol, "1/0"),
     ):
         with pytest.raises(ValueError, match="must be >= 1"):
             call()

@@ -262,6 +262,8 @@ def test_random_euclidean_null_flag_and_modes():
         fs.random_euclidean(4, 4, 2, seed=1, transit="bogus")
     with pytest.raises(ValueError):
         fs.random_euclidean(4, 2, 3, seed=1)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        fs.random_euclidean(4, 4, 2, seed=-1)
 
 
 @pytest.mark.parametrize("factor", [math.nan, math.inf, -1.0])
@@ -414,11 +416,17 @@ def test_bad_value_reports_field(tmp_path, field, index, value):
 
 
 @pytest.mark.parametrize("field, value, named", [
-    pytest.param(None, [1, 2], "top level", id="top-level-list"),
-    pytest.param("endpoints", [[0, 1]], "'endpoints' must list 4", id="endpoints-count"),
-    pytest.param("endpoints", [[0, 1]] * 3 + [5], "'endpoints' entries", id="endpoints-entry"),
-    pytest.param("candidates", [8, 9], "'candidates' must list 4", id="candidates-count"),
-    pytest.param("labels", ["a"], "'labels' must list 4", id="labels-count"),
+    pytest.param(None, [1, 2], "top level must be an object", id="top-level-list"),
+    pytest.param("endpoints", [[0, 1]], "field 'endpoints' must list 4 pairs",
+                 id="endpoints-count"),
+    pytest.param("endpoints", [[0, 1]] * 3 + [5], "field 'endpoints' entries must be pairs",
+                 id="endpoints-entry"),
+    pytest.param("endpoints", [[0, 1]] * 3 + [[0, 12]], "endpoint index out of range [0, 12)",
+                 id="endpoints-range"),
+    pytest.param("candidates", [8, 9], "field 'candidates' must list 4 indices",
+                 id="candidates-count"),
+    pytest.param("labels", ["a"], "field 'labels' must list 4 names", id="labels-count"),
+    pytest.param("k", 5, "budget k=5 outside [1, m=4]", id="budget-over-m"),
 ])
 def test_reader_refuses_a_malformed_structure(tmp_path, field, value, named):
     path = tmp_path / "a.json"
@@ -426,8 +434,9 @@ def test_reader_refuses_a_malformed_structure(tmp_path, field, value, named):
         path.write_text(json.dumps(value))
     else:
         write_bad_field_value(path, field, None, value)
-    with pytest.raises(fs.InstanceParseError, match=named):
+    with pytest.raises(fs.InstanceParseError) as refused:
         fs.read_instance(path)
+    assert str(refused.value) == f"{path}: {named}"
 
 
 def test_reader_refuses_a_broken_walk_bound(tmp_path):
