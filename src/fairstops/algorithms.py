@@ -23,8 +23,11 @@ selection, so the loop takes them all in one vectorised pass and jumps from
 one possible opening radius to the next, at the same radii and with the
 same events as a pass per trigger.  :func:`greedy_capture` (so also
 :func:`gc_trsp`) runs the single-stop side alone at ``lam = 1``, with
-``ceil(n/k)`` over its n datapoints; :func:`eca` runs the pair side alone,
-with costs capped by the walk; :func:`hybrid` runs both, with route costs.
+``ceil(n/k)`` over its n datapoints; :func:`eca` runs the pair side alone
+and :func:`hybrid` runs both, each on the pair route costs as they are.
+``eca`` retires an agent once its walk-capped cost is at most ``r``, so an
+agent still live at ``r`` walks more than ``r``, and its capped pair cost is
+at most ``r`` exactly when its route cost is: capping would change no opening.
 
 Tie-breaking is fixed throughout: candidates are examined in ascending index
 order, unordered candidate pairs in lexicographic order, and only the first
@@ -51,7 +54,6 @@ from .model import (
     Solution,
     TraceEvent,
     _readonly,
-    check_stop_sets,
     induce_clustering,
     route_costs,
     solution_costs,
@@ -340,9 +342,8 @@ def eca(instance: Instance) -> tuple[Solution, RunTrace]:
     a later pair was about to serve.  Correct under arbitrary transit
     metrics.
     """
-    pairs, routes = instance._pair_table
     chosen, trace = _sweep(instance.m, instance.k, 2 * instance.n,
-                           pair_table=(pairs, np.minimum(instance._d_ab, routes)),
+                           pair_table=instance._pair_table,
                            cost=lambda chosen: solution_costs(instance, chosen))
     return Solution.of(chosen), trace
 
@@ -494,14 +495,11 @@ def exact_min_cost(instance: Instance) -> tuple[Solution, float]:
     Ties prefer fewer stops, then the lexicographically smallest stop set.
     Past ``MAX_STOP_SETS`` sets it raises ``EnumerationGuardError`` up front.
     """
-    m, k = instance.m, instance.k
-    check_stop_sets(m, range(k + 1))
     best_cost, best_stops = INF, ()
-    for size in range(k + 1):
-        for block, costs in stop_set_costs(instance, size):
-            # fmin makes a NaN total INF, so, as in a loop of `<` tests, it never wins.
-            totals = np.fmin(costs.sum(axis=1), INF)
-            j = int(np.argmin(totals))
-            if totals[j] < best_cost:
-                best_cost, best_stops = float(totals[j]), block[j]
+    for block, routes in stop_set_costs(instance, range(instance.k + 1)):
+        # fmin makes a NaN total INF, so, as in a loop of `<` tests, it never wins.
+        totals = np.fmin(np.minimum(instance._d_ab, routes).sum(axis=1), INF)
+        j = int(np.argmin(totals))
+        if totals[j] < best_cost:
+            best_cost, best_stops = float(totals[j]), block[j]
     return Solution(best_stops), best_cost

@@ -137,8 +137,11 @@ def _load_instance(path) -> Instance:
 
 def _sweep(alg: str, lam: float | None, flag: str):
     """The CSV name of sweep ``alg`` at weight ``lam`` and a callable that runs
-    it on an instance; a weight outside [0, 1] is refused naming ``flag``.  The
-    callable looks the sweep up in this module when called, not now."""
+    it on an instance; a weight for ``gc`` or ``eca``, or one outside [0, 1],
+    is refused naming ``flag``.  The callable looks the sweep up in this
+    module when called, not now."""
+    if alg != "hybrid" and lam is not None:
+        raise _CliError(f"{flag}: {alg} takes no weight, got {lam}")
     if alg == "gc":
         return alg, lambda inst: gc_trsp(inst)
     if alg == "eca":
@@ -290,7 +293,7 @@ def _parse_algs(text: str) -> list:
         if alg != "hybrid" and (colon or alg not in ("gc", "eca")):
             raise _CliError(f"--algs: unknown algorithm {tok!r}")
         try:  # a bare "hybrid" mixes at 0.5; gc and eca take no weight
-            lam = float(weight) if colon else 0.5
+            lam = float(weight) if colon else 0.5 if alg == "hybrid" else None
         except ValueError:
             raise _CliError(f"--algs: bad hybrid weight in {tok!r}")
         out.append(_sweep(alg, lam, "--algs"))
@@ -331,7 +334,7 @@ def _measures(inst: Instance, sweep, checks, alpha) -> dict:
     solution, _ = sweep(inst)
     cells = {"total_cost": _fmt(total_cost(inst, solution))}
     if "jr" in checks:
-        cells["jr_factor"] = _fmt(jr_ratio(inst, solution).factor)
+        cells["jr_factor"] = _guarded(lambda: jr_ratio(inst, solution).factor)
     if "core" in checks:
         cells["core_alpha"] = str(alpha)
         cells["core_factor"] = _guarded(lambda: core_ratio(inst, solution, alpha).factor)
@@ -353,6 +356,11 @@ def _cmd_experiment(args) -> int:
         raise _CliError("--rounds must be >= 1")
     if args.seed_base < 0:
         raise _CliError(f"--seed-base must be >= 0, got {args.seed_base}")
+    # A file or family instance keeps its own transit and repeats every round.
+    if (args.instance or args.family) and args.transit != "null":
+        raise _CliError(f"--transit {args.transit}: only random instances take a transit mode")
+    if (args.instance or args.family) and args.rounds > 1:
+        raise _CliError(f"--rounds {args.rounds}: a file or family instance runs one round")
     mode, factor, scale_label = _parse_transit(args.transit)
     try:
         ks = [int(tok) for tok in str(args.k).split(",") if tok.strip()]

@@ -14,7 +14,8 @@ alternative stop set?
 
 All of them run one blocking search (:func:`_search`) over deviation
 targets taken in blocks: stop sets of one size, in size order and then
-lexicographic order, each block with its ``(targets, agents)`` cost table.
+lexicographic order, each block with its ``(targets, agents)`` route-cost
+table, uncapped by the walk (:func:`~fairstops.model.stop_set_costs` says why).
 Tight factors are computed exactly by order statistics over the finitely
 many cost ratios rather than by bisection: for each deviation target the
 factor it can block is the ``need``-th largest ratio
@@ -66,7 +67,7 @@ from .model import (
     ClusteringInstance,
     Instance,
     as_stops,
-    check_stop_sets,
+    route_costs,
     solution_costs,
     stop_set_costs,
     walk_bound_problem,
@@ -117,31 +118,20 @@ def _check_factor(value: float, name: str) -> float:
     return value
 
 
-def _targets(instance: Instance, needs: dict[int, int]):
-    """Blocks ``(targets, costs, need)`` of every stop set whose size is a key
-    of ``needs``, in the dict's order of sizes and then lexicographic order:
-    a ``stop_sets`` block and its ``(targets, agents)`` cost table.  Pair
-    blocks are row slices of the instance's route table over every pair,
-    built on first use and kept for the instance's life (``C(m, 2) * n * 8``
-    bytes), each capped by the walk on its own, so a search holds one
-    block's costs at a time.  Sizes whose ``need`` is not in ``[1, n]``
-    admit no coalition and are skipped."""
-    for size, need in needs.items():
-        if 0 < need <= instance.n:
-            for targets, costs in stop_set_costs(instance, size):
-                yield targets, costs, need
-
-
-def _search(cy: np.ndarray, blocks, beta: float | None = None) -> Witness | None:
+def _search(cy: np.ndarray, blocks, needs: dict[int, int],
+            beta: float | None = None) -> Witness | None:
     """The first target, in block order, that blocks the costs ``cy``.
 
-    Without ``beta`` this is the first target attaining the tight factor
-    (the largest ``need``-th largest ratio, if above 1); with one, the first
-    target on which at least ``need`` agents reach ``beta``.  The witness
-    coalition is every agent reaching that factor, or ``beta``.
+    ``blocks`` yields ``(targets, costs)`` tables, and ``needs`` maps a
+    target size to its coalition size ``need``.  Without ``beta`` this is
+    the first target attaining the tight factor (the largest ``need``-th
+    largest ratio, if above 1); with one, the first target on which at least
+    ``need`` agents reach ``beta``.  The witness coalition is every agent
+    reaching that factor, or ``beta``.
     """
     found = None
-    for targets, costs, need in blocks:
+    for targets, costs in blocks:
+        need = needs[targets.shape[1]]
         ratios = _ratios(cy, costs)
         kth = np.partition(ratios, -need, axis=1)[:, -need]
         if beta is None:
@@ -193,14 +183,15 @@ def improving_pairs(instance: Instance, agent_index: int, solution, beta: float 
         raise IndexError(f"agent index {agent_index} out of range for n={instance.n}")
     cy = solution_costs(instance, solution)[agent_index]
     pairs, routes = instance._pair_table
-    ct = np.minimum(instance._d_ab[agent_index], routes[:, agent_index])
-    return [tuple(pair) for pair in pairs[_reaches(_ratios(cy, ct), beta)].tolist()]
+    reach = _reaches(_ratios(cy, routes[:, agent_index]), beta)
+    return [tuple(pair) for pair in pairs[reach].tolist()]
 
 
 def _jr(instance: Instance, solution, beta: float | None) -> Witness | None:
     cy = solution_costs(instance, solution)
-    needs = {2: coverage_threshold(instance.n, instance.k)}
-    return _search(cy, _targets(instance, needs), beta)
+    need = coverage_threshold(instance.n, instance.k)
+    needs = {2: need} if 0 < need <= instance.n else {}
+    return _search(cy, stop_set_costs(instance, needs), needs, beta)
 
 
 def jr_violation(instance: Instance, solution, beta: float = 1.0) -> Witness | None:
@@ -278,9 +269,9 @@ def _core(instance: Instance, solution, alpha, beta: float | None, backend: str)
     if backend == "milp":
         return _core_milp(instance, cy, alpha, beta)
     p, q = alpha.numerator, alpha.denominator
-    needs = {size: -(-p * size * n // (k * q)) for size in range(1, min(m, k * q // p) + 1)}
-    check_stop_sets(m, [size for size, need in needs.items() if 0 < need <= n])
-    witness = _search(cy, _targets(instance, needs), beta)
+    needs = {size: need for size in range(1, min(m, k * q // p) + 1)
+             if 0 < (need := -(-p * size * n // (k * q))) <= n}
+    witness = _search(cy, stop_set_costs(instance, needs), needs, beta)
     return witness if beta is not None else _report("CORE", alpha, witness)
 
 
@@ -358,8 +349,8 @@ def _core_violation_milp(
         return None
     coalition = tuple(np.flatnonzero(res.x[:n] > 0.5).tolist())
     target = np.flatnonzero(res.x[n:n + m] > 0.5)[None, :]
-    need = -(-p * target.shape[1] * n // (k * q))
-    blocked = _search(cy, [(target, solution_costs(instance, target), need)])
+    needs = {target.shape[1]: -(-p * target.shape[1] * n // (k * q))}
+    blocked = _search(cy, [(target, route_costs(instance, target))], needs)
     return Witness(coalition, tuple(target[0].tolist()), blocked.factor)
 
 
@@ -367,11 +358,9 @@ def _core_milp(instance, cy, alpha: Fraction, beta: float | None):
     """The integer program at ``beta``; without one, the tight core factor by
     a search over the finite ladder of realizable pair ratios (every
     blockable factor is one of them).  The ``(pairs, agents)`` ratios are
-    filled one block of the instance's pair table at a time."""
-    pairs = instance._pair_table[0]
-    ratios, start = np.empty((len(pairs), instance.n)), 0
-    for block, costs in stop_set_costs(instance, 2):
-        ratios[start:(start := start + len(block))] = _ratios(cy, costs)
+    read off the instance's pair table."""
+    pairs, routes = instance._pair_table
+    ratios = _ratios(cy, routes)
 
     def probe(rung: float) -> Witness | None:
         return _core_violation_milp(instance, cy, alpha, pairs, _reaches(ratios, rung))
@@ -418,7 +407,7 @@ def _pf(clustering: ClusteringInstance, centers, rho: float | None) -> Witness |
     d = clustering.center_point_dists()
     thr = -(-clustering.n // clustering.k)
     return _search(d[list(chosen)].min(axis=0, initial=INF),
-                   [(np.arange(clustering.m)[:, None], d, thr)], rho)
+                   [(np.arange(clustering.m)[:, None], d)], {1: thr}, rho)
 
 
 def pf_violation(clustering: ClusteringInstance, centers, rho: float = 1.0) -> Witness | None:

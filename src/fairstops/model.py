@@ -185,7 +185,8 @@ class Instance:
     # walks between stop c and a_i and b_i, and _d_cc[c, i] is agent i's route
     # boarding and alighting at c, (walk in + ride c->c) + walk out.  The
     # stop-pair route table (_pair_table) is built on first use instead and
-    # kept for the instance's life: C(m, 2) * n * 8 bytes.
+    # kept for the instance's life: C(m, 2) * n * 8 bytes.  It is read as it
+    # is: the walk (_d_ab) is capped in only where a cost is reported.
     _d_ca: np.ndarray = field(init=False, repr=False)
     _d_cb: np.ndarray = field(init=False, repr=False)
     _d_cc: np.ndarray = field(init=False, repr=False)
@@ -452,20 +453,25 @@ def _block_rows(size: int, n: int) -> int:
     return max(1, BLOCK_FLOATS // max(1, n * max(2 * size * (size - 1) + 1, size + 2)))
 
 
-def stop_set_costs(instance: Instance, size: int):
-    """Every ``size``-subset of the candidates, in :func:`stop_sets` blocks
-    ``(sets, costs)``, each with its :func:`solution_costs` table.  Pairs are
-    row slices of the instance's cached pair table, capped by the walk one
-    block at a time, so a caller's transient memory stays per block."""
-    if size != 2:
-        for sets in stop_sets(instance.m, size, instance.n):
-            yield sets, solution_costs(instance, sets)
-        return
-    pairs, routes = instance._pair_table
-    step = _block_rows(2, instance.n)
-    for start in range(0, len(pairs), step):
-        rows = slice(start, start + step)
-        yield pairs[rows], np.minimum(instance._d_ab, routes[rows])
+def stop_set_costs(instance: Instance, sizes):
+    """Every subset of the candidates of each of ``sizes``, in size and then
+    lexicographic order, as :func:`stop_sets` blocks ``(sets, routes)`` with
+    their :func:`route_costs` tables, after :func:`check_stop_sets` on all
+    ``sizes``.  Pair blocks are views of the cached pair table.  Targets are
+    route costs, and the walk is capped only where a cost is reported: as
+    ``cy <= walk``, a ratio ``cy / route`` above 1 is the same float capped,
+    and one at most 1 stays so."""
+    check_stop_sets(instance.m, sizes)
+    for size in sizes:
+        if size == 2:
+            pairs, routes = instance._pair_table
+            step = _block_rows(2, instance.n)
+            for start in range(0, len(pairs), step):
+                rows = slice(start, start + step)
+                yield pairs[rows], routes[rows]
+        else:
+            for sets in stop_sets(instance.m, size, instance.n):
+                yield sets, route_costs(instance, sets)
 
 
 def check_stop_sets(m: int, sizes) -> None:

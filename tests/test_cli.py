@@ -431,13 +431,13 @@ def test_experiment_family_source(tmp_path, capsys):
     code, _, _ = run_cli(
         capsys,
         "experiment", "--out", str(out), "--family", "table5", "--eps", "0.01",
-        "--rounds", "2", "--algs", "eca", "--checks", "jr,core", "--alpha", "1",
+        "--rounds", "1", "--algs", "eca", "--checks", "jr,core", "--alpha", "1",
     )
     assert code == 0
     with open(out) as fh:
         fh.readline()
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 2
+    assert len(rows) == 1
     assert all(row["core_alpha"] == "1" for row in rows)
 
 
@@ -538,16 +538,26 @@ def test_experiment_bad_transit_factor_exit_2(tmp_path, capsys, factor):
     pytest.param(["experiment", "--family", "line-pf"], "--family: line instances",
                  id="exp-line-family"),
     pytest.param(["experiment", "--k", ""], "--k", id="exp-k-empty"),
+    pytest.param(["experiment", "--family", "table3", "--transit", "random"],
+                 "--transit random: only random instances", id="exp-fixed-transit"),
+    pytest.param(["experiment", "--family", "table3", "--rounds", "2"],
+                 "--rounds 2: a file or family instance", id="exp-fixed-rounds"),
+    pytest.param(["run", "--alg", "gc", "--lam", "7"], "--lam: gc takes no weight",
+                 id="run-gc-lam"),
+    pytest.param(["run", "--alg", "eca", "--lam", "0.5"], "--lam: eca takes no weight",
+                 id="run-eca-lam"),
 ])
 def test_refusals_name_their_flag(tmp_path, capsys, argv, named):
     out = tmp_path / "x.csv"
-    if argv[0] == "verify":
+    if argv[0] == "experiment":
+        argv = [*argv, "--out", str(out)]
+    else:
         path = tmp_path / "t3.json"
         fs.write_instance(fs.generate("table3"), path)
-        solution = [] if "--solution" in argv else ["--solution", "0"]
-        argv = [*argv, "--instance", str(path), "--prop", "core", *solution]
-    else:
-        argv = [*argv, "--out", str(out)]
+        argv = [*argv, "--instance", str(path)]
+        if argv[0] == "verify":
+            solution = [] if "--solution" in argv else ["--solution", "0"]
+            argv += ["--prop", "core", *solution]
     code, stdout, err = run_cli(capsys, *argv)
     assert code == 2 and stdout == ""
     assert named in err

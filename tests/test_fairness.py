@@ -198,6 +198,16 @@ def test_core_guard_counts_stop_sets():
     assert fs.core_violation(big, (0,), 1, 1000.0, backend="milp") is None
 
 
+def test_jr_guard_counts_pairs_before_listing_any(monkeypatch):
+    # The JR pair scan is a guarded search too: C(8, 2) = 28 pairs, refused
+    # under a limit of 27 before the pair table is built.
+    inst = fs.random_euclidean(6, 8, 3, seed=0)
+    monkeypatch.setattr(fs.model, "MAX_STOP_SETS", 27)
+    with pytest.raises(fs.EnumerationGuardError, match="28 stop sets"):
+        fs.jr_ratio(inst, (0,))
+    assert "_pair_table" not in vars(inst)
+
+
 @pytest.mark.parametrize("backend", ["enumerate", "milp"])
 def test_core_backends_refuse_a_broken_walk_bound(backend):
     inst = walk_bound_breaker()  # builds: Instance(...) stays permissive

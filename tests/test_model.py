@@ -386,6 +386,20 @@ def test_pair_table_first_fill_under_threads():
         assert result == serial[which], which
 
 
+def test_eca_sweeps_the_cached_table_as_it_is():
+    # Past the cached table, eca holds one (pairs, agents) array: its first
+    # key partition.  A walk-capped copy of the table would be a second.
+    inst = fs.random_euclidean(300, 40, 6, 0, "random")
+    table = inst._pair_table[1]
+    tracemalloc.start()
+    try:
+        fs.eca(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * table.nbytes, (table.nbytes, peak)
+
+
 def test_verifiers_hold_one_block_beside_the_cached_table():
     inst = fs.random_euclidean(1000, 60, 8, 0, transit="random")
     tracemalloc.start()
