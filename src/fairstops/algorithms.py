@@ -53,6 +53,7 @@ from .model import (
     RunTrace,
     Solution,
     TraceEvent,
+    _block_rows,
     _readonly,
     induce_clustering,
     route_costs,
@@ -67,7 +68,7 @@ def coverage_threshold(n: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Worst-case fairness factors of the algorithms (used by tests and the CLI)
+# Worst-case fairness factors of the algorithms (read by the tests and demos)
 # ---------------------------------------------------------------------------
 
 GC_JR_FACTOR = 2.0 + math.sqrt(5.0)
@@ -102,14 +103,25 @@ def _first(mask: np.ndarray) -> int | None:
     return i if mask.size and mask[i := int(mask.argmax())] else None
 
 
+def _row_blocks(table: np.ndarray):
+    """Slices of ``table``'s rows, one :func:`~fairstops.model.stop_sets` pair
+    block of its width each, so a table the sweeps only read is never
+    copied whole."""
+    step = _block_rows(2, table.shape[1])
+    return (slice(start, start + step) for start in range(0, len(table), step))
+
+
 def _kth(table: np.ndarray, thr: int, scratch: bool = False) -> np.ndarray:
     """Per row, the ``thr``-th smallest entry; INF for rows shorter than ``thr``.
-    A ``scratch`` table is partitioned in place rather than copied.  The
-    result is its own array, so no copy of the table outlives the call."""
+    A ``scratch`` table is partitioned in place, any other one row block at
+    a time.  The result is its own array, so no copy outlives the call."""
     if table.shape[1] < thr:
         return np.full(len(table), INF)
     if not scratch:
-        table = table.copy()
+        key = np.empty(len(table))
+        for rows in _row_blocks(table):
+            key[rows] = np.partition(table[rows], thr - 1, axis=1)[:, thr - 1]
+        return key
     table.partition(thr - 1, axis=1)
     return table[:, thr - 1].copy()
 
@@ -118,10 +130,12 @@ def _rekey(key: np.ndarray, table: np.ndarray, lost: np.ndarray, kept: np.ndarra
            thr: int) -> None:
     """Keep ``key`` equal to ``_kth`` of ``table`` over columns ``kept`` once
     columns ``lost`` have left.  A row whose lost entries all exceed its key
-    keeps that key, so only the other rows are partitioned again."""
-    rows = (table[:, lost] <= key[:, None]).any(axis=1).nonzero()[0]
-    if rows.size:
-        key[rows] = _kth(table[rows[:, None], kept], thr, scratch=True)
+    keeps that key, so only the other rows are partitioned again, gathered
+    one row block at a time."""
+    for block in _row_blocks(table):
+        rows = (table[block, lost] <= key[block, None]).any(axis=1).nonzero()[0] + block.start
+        if rows.size:
+            key[rows] = _kth(table[rows[:, None], kept], thr, scratch=True)
 
 
 def _open(unit, chosen: list[int], is_chosen: np.ndarray) -> tuple[int, ...]:

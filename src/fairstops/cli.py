@@ -356,16 +356,21 @@ def _cmd_experiment(args) -> int:
         raise _CliError("--rounds must be >= 1")
     if args.seed_base < 0:
         raise _CliError(f"--seed-base must be >= 0, got {args.seed_base}")
-    # A file or family instance keeps its own transit and repeats every round.
-    if (args.instance or args.family) and args.transit != "null":
-        raise _CliError(f"--transit {args.transit}: only random instances take a transit mode")
-    if (args.instance or args.family) and args.rounds > 1:
-        raise _CliError(f"--rounds {args.rounds}: a file or family instance runs one round")
+    # A file or family instance keeps its own size and transit and repeats
+    # every round; only a family takes family parameters.
+    if args.instance or args.family:
+        for flag in ("n", "m", "k"):
+            if getattr(args, flag) is not None:
+                raise _CliError(f"--{flag}: a file or family instance has its own size")
+        if args.transit != "null":
+            raise _CliError(f"--transit {args.transit}: only random instances take a transit mode")
+        if args.rounds > 1:
+            raise _CliError(f"--rounds {args.rounds}: a file or family instance runs one round")
+    if not args.family:
+        for name, _, _ in _FAMILY_PARAM_FLAGS:
+            if getattr(args, name) is not None:
+                raise _CliError(f"--{name}: only a --family instance takes family parameters")
     mode, factor, scale_label = _parse_transit(args.transit)
-    try:
-        ks = [int(tok) for tok in str(args.k).split(",") if tok.strip()]
-    except ValueError:
-        raise _CliError(f"--k must be comma-separated integers, got {args.k!r}")
     # A file or family instance is the same in every round: build it once,
     # so a bad one fails before any round runs.
     fixed = None
@@ -376,13 +381,20 @@ def _cmd_experiment(args) -> int:
         if not isinstance(fixed, Instance):
             raise _CliError("--family: line instances are not supported by experiment")
     else:
+        n = 12 if args.n is None else args.n
+        m = 8 if args.m is None else args.m
+        k_text = "3" if args.k is None else args.k
+        try:
+            ks = [int(tok) for tok in k_text.split(",") if tok.strip()]
+        except ValueError:
+            raise _CliError(f"--k must be comma-separated integers, got {k_text!r}")
         if not ks:
             raise _CliError("random experiments need --k")
-        for flag, value in (("--n", args.n), ("--m", args.m), ("--k", min(ks))):
+        for flag, value in (("--n", n), ("--m", m), ("--k", min(ks))):
             if value < 1:
                 raise _CliError(f"{flag} must be >= 1, got {value}")
-        if max(ks) > args.m:
-            raise _CliError(f"--k budget {max(ks)} exceeds --m {args.m}")
+        if max(ks) > m:
+            raise _CliError(f"--k budget {max(ks)} exceeds --m {m}")
 
     if "mincost" in checks:
         algs.append(("mincost", None))  # one exact-optimum row per instance
@@ -392,7 +404,7 @@ def _cmd_experiment(args) -> int:
             instances = [fixed]
         else:
             instances = [
-                random_euclidean(args.n, args.m, k, seed, transit=mode, factor=factor)
+                random_euclidean(n, m, k, seed, transit=mode, factor=factor)
                 for k in ks
             ]
         for inst in instances:
@@ -461,12 +473,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = subs.add_parser("experiment", help="batch runs with CSV output")
     exp.add_argument("--out", required=True)
-    exp.add_argument("--instance", help="run on one instance file")
-    exp.add_argument("--family", help="run on a generated family instance")
+    source = exp.add_mutually_exclusive_group()
+    source.add_argument("--instance", help="run on one instance file")
+    source.add_argument("--family", help="run on a generated family instance")
     _add_family_flags(exp)
-    exp.add_argument("--n", type=int, default=12, help="agents per random instance")
-    exp.add_argument("--m", type=int, default=8, help="candidates per random instance")
-    exp.add_argument("--k", default="3", help="comma-separated budgets for random instances")
+    exp.add_argument("--n", type=int, help="agents per random instance (default 12)")
+    exp.add_argument("--m", type=int, help="candidates per random instance (default 8)")
+    exp.add_argument("--k", help="comma-separated budgets for random instances (default 3)")
     exp.add_argument("--rounds", type=int, default=1, help="number of seeds (repetitions)")
     exp.add_argument("--seed-base", type=int, default=0)
     exp.add_argument("--algs", default="gc,eca,hybrid:0.5")

@@ -118,6 +118,18 @@ def _check_factor(value: float, name: str) -> float:
     return value
 
 
+def _check_budget(chosen: tuple[int, ...], k: int, noun: str = "stops") -> tuple[int, ...]:
+    """The one budget rule of every verifier: ``chosen`` holds at most ``k``."""
+    if len(chosen) > k:
+        raise ValueError(f"{len(chosen)} {noun} exceed budget k={k}")
+    return chosen
+
+
+def _costs(instance: Instance, solution) -> np.ndarray:
+    """The agents' costs under a placement within the budget."""
+    return solution_costs(instance, _check_budget(as_stops(solution), instance.k))
+
+
 def _search(cy: np.ndarray, blocks, needs: dict[int, int],
             beta: float | None = None) -> Witness | None:
     """The first target, in block order, that blocks the costs ``cy``.
@@ -181,14 +193,14 @@ def improving_pairs(instance: Instance, agent_index: int, solution, beta: float 
     _check_factor(beta, "beta")
     if not 0 <= (agent_index := operator.index(agent_index)) < instance.n:
         raise IndexError(f"agent index {agent_index} out of range for n={instance.n}")
-    cy = solution_costs(instance, solution)[agent_index]
+    cy = _costs(instance, solution)[agent_index]
     pairs, routes = instance._pair_table
     reach = _reaches(_ratios(cy, routes[:, agent_index]), beta)
     return [tuple(pair) for pair in pairs[reach].tolist()]
 
 
 def _jr(instance: Instance, solution, beta: float | None) -> Witness | None:
-    cy = solution_costs(instance, solution)
+    cy = _costs(instance, solution)
     need = coverage_threshold(instance.n, instance.k)
     needs = {2: need} if 0 < need <= instance.n else {}
     return _search(cy, stop_set_costs(instance, needs), needs, beta)
@@ -265,12 +277,13 @@ def _core(instance: Instance, solution, alpha, beta: float | None, backend: str)
     if problem := walk_bound_problem(instance):
         raise ValueError(f"the core backends need the walk bound: {problem}")
     n, m, k = instance.n, instance.m, instance.k
-    cy = solution_costs(instance, solution)
-    if backend == "milp":
-        return _core_milp(instance, cy, alpha, beta)
+    cy = _costs(instance, solution)
+    # The size rule |S| * k >= alpha * |T| * n, as the least |S| per |T|.
     p, q = alpha.numerator, alpha.denominator
     needs = {size: need for size in range(1, min(m, k * q // p) + 1)
              if 0 < (need := -(-p * size * n // (k * q))) <= n}
+    if backend == "milp":
+        return _core_milp(instance, cy, alpha, needs, beta)
     witness = _search(cy, stop_set_costs(instance, needs), needs, beta)
     return witness if beta is not None else _report("CORE", alpha, witness)
 
@@ -294,21 +307,22 @@ def milp(c, constraints, integrality, bounds):
 
 
 def _core_violation_milp(
-    instance, cy, alpha: Fraction, pairs: np.ndarray, reach: np.ndarray
+    instance, cy, alpha: Fraction, needs: dict[int, int], pairs: np.ndarray, reach: np.ndarray
 ) -> Witness | None:
     """Blocking-coalition search as a 0/1 program: maximize the coalition size
     subject to every member holding an improving pair inside the chosen stop
     set and the coalition outweighing ``alpha * |T| * n / k``.  ``reach`` is
-    the ``(pairs, agents)`` mask of the boundary rule at the ``beta`` tested.
-    A positive optimum is exactly a core violation.
+    the ``(pairs, agents)`` mask of the boundary rule at the ``beta`` tested,
+    and ``needs`` is :func:`_core`'s size rule.  A positive optimum is
+    exactly a core violation.
 
     Before the program is built, an exact screen settles the probe from the
     reach counts alone.  A positive optimum needs a target of ``t >= 2``
     stops, whose coalition holds at most ``min(|served|, sum of the C(t, 2)
-    largest pair reach counts)`` agents; when that bound misses the size
-    rule ``|S| * k * q >= p * t * n`` (``alpha = p/q``) for every ``t`` up to
-    ``min(m, k*q // p)``, the optimum is 0 and ``None`` is returned without a
-    solve.  Probes the screen leaves open solve the same program as before."""
+    largest pair reach counts)`` agents; when that bound is below
+    ``needs[t]`` for every such ``t``, the optimum is 0 and ``None`` is
+    returned without a solve.  Probes the screen leaves open solve the same
+    program as before."""
     n, m, k = instance.n, instance.m, instance.k
     p, q = alpha.numerator, alpha.denominator
     # Single-stop targets are left out: _core refuses an instance that breaks
@@ -321,8 +335,8 @@ def _core_violation_milp(
     # The screen (see above); tops[j] sums the j largest pair reach counts.
     tops = [0] + np.sort(reach.sum(axis=1))[::-1].cumsum().tolist()
     reachable = int(np.count_nonzero(served))
-    if not any(min(reachable, tops[min(t * (t - 1) // 2, len(tops) - 1)]) * k * q >= p * t * n
-               for t in range(2, min(m, k * q // p) + 1)):
+    if not any(min(reachable, tops[min(t * (t - 1) // 2, len(tops) - 1)]) >= need
+               for t, need in needs.items() if t >= 2):
         return None
     # Variables: x_i (agents), s_c (stops), y_j (pairs actually improving
     # someone).  Rows, each at most 0: x_i <= the sum of the y_j reaching
@@ -349,12 +363,11 @@ def _core_violation_milp(
         return None
     coalition = tuple(np.flatnonzero(res.x[:n] > 0.5).tolist())
     target = np.flatnonzero(res.x[n:n + m] > 0.5)[None, :]
-    needs = {target.shape[1]: -(-p * target.shape[1] * n // (k * q))}
     blocked = _search(cy, [(target, route_costs(instance, target))], needs)
     return Witness(coalition, tuple(target[0].tolist()), blocked.factor)
 
 
-def _core_milp(instance, cy, alpha: Fraction, beta: float | None):
+def _core_milp(instance, cy, alpha: Fraction, needs: dict[int, int], beta: float | None):
     """The integer program at ``beta``; without one, the tight core factor by
     a search over the finite ladder of realizable pair ratios (every
     blockable factor is one of them).  The ``(pairs, agents)`` ratios are
@@ -363,7 +376,7 @@ def _core_milp(instance, cy, alpha: Fraction, beta: float | None):
     ratios = _ratios(cy, routes)
 
     def probe(rung: float) -> Witness | None:
-        return _core_violation_milp(instance, cy, alpha, pairs, _reaches(ratios, rung))
+        return _core_violation_milp(instance, cy, alpha, needs, pairs, _reaches(ratios, rung))
 
     if beta is not None:
         return probe(beta)
@@ -400,8 +413,7 @@ def _pf(clustering: ClusteringInstance, centers, rho: float | None) -> Witness |
     chosen = as_stops(centers)
     if chosen and (chosen[0] < 0 or chosen[-1] >= clustering.m):
         raise ValueError("center index out of range")
-    if len(chosen) > clustering.k:
-        raise ValueError(f"{len(chosen)} centers exceed budget k={clustering.k}")
+    _check_budget(chosen, clustering.k, "centers")
     if clustering.n == 0:
         return None
     d = clustering.center_point_dists()

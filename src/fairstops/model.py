@@ -180,13 +180,16 @@ class Instance:
     null_transit: bool = field(init=False, repr=False)
 
     # Derived tables, built in __post_init__ only on a valid structure;
-    # reading an unbuilt one raises its first problem (__getattr__).  The
-    # walk tables are stops first, (m, n): _d_ca[c, i] and _d_cb[c, i] are the
-    # walks between stop c and a_i and b_i, and _d_cc[c, i] is agent i's route
+    # reading an unbuilt one raises its first problem (__getattr__).
+    # _clustering is the induced clustering, whose (m, 2n) table is the one
+    # gather of endpoint walks.  The walk tables are stops first, (m, n):
+    # _d_ca[c, i] and _d_cb[c, i], the walks between stop c and a_i and b_i,
+    # are contiguous copies of its columns, and _d_cc[c, i] is agent i's route
     # boarding and alighting at c, (walk in + ride c->c) + walk out.  The
     # stop-pair route table (_pair_table) is built on first use instead and
     # kept for the instance's life: C(m, 2) * n * 8 bytes.  It is read as it
     # is: the walk (_d_ab) is capped in only where a cost is reported.
+    _clustering: ClusteringInstance = field(init=False, repr=False)
     _d_ca: np.ndarray = field(init=False, repr=False)
     _d_cb: np.ndarray = field(init=False, repr=False)
     _d_cc: np.ndarray = field(init=False, repr=False)
@@ -206,16 +209,16 @@ class Instance:
         object.__setattr__(self, "null_transit", bool(np.all(self.transit.dist == 0.0)))
         if structure_problems(self):
             return
-        d, (a, b) = self.walk.dist, ep.T
-        # Adding 0.0 turns a -0.0 distance into 0.0, so no cost is a negative
-        # zero, which fairness._ratios would divide by as -inf.
-        d_ca, d_cb = d.T[np.ix_(cand, a)] + 0.0, d.T[np.ix_(cand, b)] + 0.0
+        clustering = ClusteringInstance(ep.reshape(-1), cand, self.walk, self.k)
+        d_cp, (a, b) = clustering.center_point_dists(), ep.T
+        d_ca, d_cb = _readonly(d_cp[:, 0::2]), _readonly(d_cp[:, 1::2])
         d_cc = d_ca + np.diagonal(self.transit.dist)[:, None]
         d_cc += d_cb
-        object.__setattr__(self, "_d_ca", _readonly(d_ca))
-        object.__setattr__(self, "_d_cb", _readonly(d_cb))
+        object.__setattr__(self, "_clustering", clustering)
+        object.__setattr__(self, "_d_ca", d_ca)
+        object.__setattr__(self, "_d_cb", d_cb)
         object.__setattr__(self, "_d_cc", _readonly(d_cc))
-        object.__setattr__(self, "_d_ab", _readonly(d[a, b] + 0.0))
+        object.__setattr__(self, "_d_ab", _readonly(self.walk.dist[a, b] + 0.0))
 
     @functools.cached_property
     def _walk_bound(self) -> str | None:
@@ -250,7 +253,7 @@ class Instance:
 
     def __getattr__(self, name):
         # Only reached for an attribute that was never set.
-        if name in ("_d_ca", "_d_cb", "_d_cc", "_d_ab"):
+        if name in ("_clustering", "_d_ca", "_d_cb", "_d_cc", "_d_ab"):
             require_valid_structure(self)
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
@@ -305,8 +308,8 @@ class ClusteringInstance:
         for name, idx in (("datapoints", dp), ("centers", ce)):
             if idx.size and (idx.min() < 0 or idx.max() >= p):
                 raise ValueError(f"{name} index out of range [0, {p})")
-        # Entries read d[point, center], as Instance's walk tables do; + 0.0
-        # as in Instance: no -0.0 distance reaches fairness._ratios.
+        # Entries read d[point, center]; adding 0.0 turns a -0.0 distance into
+        # 0.0, which fairness._ratios would divide by as -inf (Instance._d_ab too).
         object.__setattr__(self, "_d_cp", _readonly(self.dist.dist.T[np.ix_(ce, dp)] + 0.0))
 
     @property
@@ -553,14 +556,10 @@ def require_valid_structure(instance: Instance) -> None:
 
 def induce_clustering(instance: Instance) -> ClusteringInstance:
     """Reinterpret all 2n agent endpoints as datapoints, laid out as a_0, b_0,
-    a_1, b_1, ...; keep centers and budget."""
-    require_valid_structure(instance)
-    return ClusteringInstance(
-        datapoints=instance.endpoints.reshape(-1),
-        centers=instance.candidates,
-        dist=instance.walk,
-        k=instance.k,
-    )
+    a_1, b_1, ...; keep centers and budget.  Built once per instance, by the
+    gather that also gives its walk tables; raises ``ValueError`` on a
+    broken structure."""
+    return instance._clustering
 
 
 def clustering_to_trsp(clustering: ClusteringInstance) -> Instance:

@@ -542,6 +542,18 @@ def test_experiment_bad_transit_factor_exit_2(tmp_path, capsys, factor):
                  "--transit random: only random instances", id="exp-fixed-transit"),
     pytest.param(["experiment", "--family", "table3", "--rounds", "2"],
                  "--rounds 2: a file or family instance", id="exp-fixed-rounds"),
+    pytest.param(["experiment", "--family", "table5", "--instance", "f.json"],
+                 "--instance: not allowed with argument --family", id="exp-two-sources"),
+    pytest.param(["experiment", "--instance", "f.json", "--n", "99", "--k", "7"],
+                 "--n: a file or family instance has its own size", id="exp-file-size"),
+    pytest.param(["experiment", "--family", "table3", "--k", "7"],
+                 "--k: a file or family instance has its own size", id="exp-family-size"),
+    pytest.param(["experiment", "--family", "table3", "--m", "9"],
+                 "--m: a file or family instance has its own size", id="exp-family-m"),
+    pytest.param(["experiment", "--eps", "0.3"], "--eps: only a --family instance",
+                 id="exp-random-family-param"),
+    pytest.param(["experiment", "--instance", "f.json", "--lambda", "0.5"],
+                 "--lam: only a --family instance", id="exp-file-family-param"),
     pytest.param(["run", "--alg", "gc", "--lam", "7"], "--lam: gc takes no weight",
                  id="run-gc-lam"),
     pytest.param(["run", "--alg", "eca", "--lam", "0.5"], "--lam: eca takes no weight",

@@ -341,6 +341,20 @@ def test_pf_validates_centers():
         fs.pf_ratio(clustering, (0, 1, 2))  # exceeds budget
     with pytest.raises(ValueError):
         fs.pf_violation(clustering, (9,), 1.0)
+    # Every verifier refuses an over-budget placement the same way.
+    inst = fs.generate("table3")
+    over = range(6)
+    for call, noun in (
+        (lambda: fs.pf_ratio(fs.induce_clustering(inst), over), "centers"),
+        (lambda: fs.jr_ratio(inst, over), "stops"),
+        (lambda: fs.jr_violation(inst, over), "stops"),
+        (lambda: fs.core_ratio(inst, over, 1), "stops"),
+        (lambda: fs.core_ratio(inst, over, 1, backend="milp"), "stops"),
+        (lambda: fs.core_violation(inst, over, 1), "stops"),
+        (lambda: fs.improving_pairs(inst, 0, over), "stops"),
+    ):
+        with pytest.raises(ValueError, match=f"^6 {noun} exceed budget k=3$"):
+            call()
 
 
 # ---------------------------------------------------------------------------

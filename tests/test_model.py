@@ -400,6 +400,22 @@ def test_eca_sweeps_the_cached_table_as_it_is():
     assert peak <= 1.25 * table.nbytes, (table.nbytes, peak)
 
 
+def test_warm_sweeps_hold_one_row_block_beside_the_cached_tables():
+    # A sweep partitions the cached pair and clustering tables one stop_sets
+    # pair block of rows at a time (1.59 MiB here); a whole copy of the pair
+    # table, 13.5 MiB, was eca's peak before.
+    inst = fs.random_euclidean(1000, 60, 8, 0, "random")
+    for sweep in (fs.eca, lambda x: fs.hybrid(x, 0.5)):
+        sweep(inst)
+        tracemalloc.start()
+        try:
+            sweep(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= model.BLOCK_FLOATS * 8, peak
+
+
 def test_verifiers_hold_one_block_beside_the_cached_table():
     inst = fs.random_euclidean(1000, 60, 8, 0, transit="random")
     tracemalloc.start()
@@ -559,6 +575,42 @@ def test_induced_table_is_walk_gather_stops_first(corpus, corpus_random_transit)
         gather = inst.walk.dist[np.ix_(inst.endpoints.reshape(-1), inst.candidates)].T
         assert table.shape == (inst.m, 2 * inst.n)
         assert table.tobytes() == gather.tobytes()
+
+
+class _UnreadableWalk:
+    """A walk metric whose distances raise when read."""
+
+    @property
+    def dist(self):
+        raise AssertionError("the walk metric was read")
+
+
+@pytest.mark.parametrize("inst", [
+    pytest.param(fs.generate("hybrid-jr-tight"), id="hybrid-jr-tight"),
+    pytest.param(fs.random_euclidean(10, 6, 3, 0, "random"), id="random-transit"),
+])
+def test_built_instance_reads_its_tables_not_its_walk(inst):
+    # Once built, every sweep, verifier and cost reads the instance's tables:
+    # the walk is read only to build them (and by I/O and validation).
+    blind = copy.copy(inst)  # rebuilt from its inputs, pair table not cached
+    object.__setattr__(blind, "walk", _UnreadableWalk())
+    assert fs.induce_clustering(blind) is fs.induce_clustering(blind)
+    placements = [fs.gc_trsp(inst)[0].stops, fs.eca(inst)[0].stops, (0,), (1, 4)]
+
+    def results(x):
+        clustering = fs.induce_clustering(x)
+        out = [fs.gc_trsp(x), fs.eca(x), *(fs.hybrid(x, lam) for lam in (0.0, 0.5, 1.0)),
+               fs.exact_min_cost(x)]
+        for sol in placements:
+            out += [fs.jr_ratio(x, sol), fs.jr_violation(x, sol),
+                    fs.pf_ratio(clustering, sol), fs.pf_violation(clustering, sol),
+                    [fs.improving_pairs(x, i, sol) for i in range(x.n)],
+                    fs.solution_costs(x, sol).tolist(), fs.total_cost(x, sol)]
+            for backend in ("enumerate", "milp"):
+                out += [fs.core_ratio(x, sol, 1, backend), fs.core_violation(x, sol, 1, 1.0, backend)]
+        return out
+
+    assert results(blind) == results(inst)
 
 
 def test_clustering_instance_rejects_out_of_range_indices():
