@@ -16,7 +16,8 @@ counts on the pair side only while both its endpoints are active.  At
 radius ``r`` a unit (a stop or a pair) covers
 ``((C <= r) & active).sum(1)`` members and opens at ``ceil(2n/k)``, that is
 once its key, the ``ceil(2n/k)``-th smallest cost over its active members,
-is at most ``r``.  While no stop opens, members only retire, so keys never
+is at most ``r``; every retirement recomputes each unit's key over the live
+members.  While no stop opens, members only retire, so keys never
 fall and no unit becomes eligible; no unit can open below the least eligible key.
 Every retirement below that bound is known in closed form from the current
 selection, so the loop takes them all in one vectorised pass and jumps from
@@ -53,8 +54,8 @@ from .model import (
     RunTrace,
     Solution,
     TraceEvent,
-    _block_rows,
     _readonly,
+    _row_blocks,
     induce_clustering,
     route_costs,
     solution_costs,
@@ -103,39 +104,18 @@ def _first(mask: np.ndarray) -> int | None:
     return i if mask.size and mask[i := int(mask.argmax())] else None
 
 
-def _row_blocks(table: np.ndarray):
-    """Slices of ``table``'s rows, one :func:`~fairstops.model.stop_sets` pair
-    block of its width each, so a table the sweeps only read is never
-    copied whole."""
-    step = _block_rows(2, table.shape[1])
-    return (slice(start, start + step) for start in range(0, len(table), step))
-
-
-def _kth(table: np.ndarray, thr: int, scratch: bool = False) -> np.ndarray:
-    """Per row, the ``thr``-th smallest entry; INF for rows shorter than ``thr``.
-    A ``scratch`` table is partitioned in place, any other one row block at
-    a time.  The result is its own array, so no copy outlives the call."""
-    if table.shape[1] < thr:
-        return np.full(len(table), INF)
-    if not scratch:
-        key = np.empty(len(table))
+def _kth(table: np.ndarray, thr: int, keep: np.ndarray) -> np.ndarray:
+    """Per row, the ``thr``-th smallest entry over the columns in mask ``keep``;
+    INF when fewer than ``thr`` are kept.  Each row block's kept columns are
+    gathered once and partitioned in place, so no copy outlives its block."""
+    key = np.full(len(table), INF)
+    cols = keep.nonzero()[0]
+    if len(cols) >= thr:
         for rows in _row_blocks(table):
-            key[rows] = np.partition(table[rows], thr - 1, axis=1)[:, thr - 1]
-        return key
-    table.partition(thr - 1, axis=1)
-    return table[:, thr - 1].copy()
-
-
-def _rekey(key: np.ndarray, table: np.ndarray, lost: np.ndarray, kept: np.ndarray,
-           thr: int) -> None:
-    """Keep ``key`` equal to ``_kth`` of ``table`` over columns ``kept`` once
-    columns ``lost`` have left.  A row whose lost entries all exceed its key
-    keeps that key, so only the other rows are partitioned again, gathered
-    one row block at a time."""
-    for block in _row_blocks(table):
-        rows = (table[block, lost] <= key[block, None]).any(axis=1).nonzero()[0] + block.start
-        if rows.size:
-            key[rows] = _kth(table[rows[:, None], kept], thr, scratch=True)
+            block = table[rows].take(cols, axis=1)
+            block.partition(thr - 1, axis=1)
+            key[rows] = block[:, thr - 1]
+    return key
 
 
 def _open(unit, chosen: list[int], is_chosen: np.ndarray) -> tuple[int, ...]:
@@ -184,9 +164,9 @@ def _sweep(m: int, k: int, members: int, dist: np.ndarray | None = None, lam: fl
     :func:`hybrid` documents.  Returns the stops in opening order and the
     trace.
 
-    Each side caches its units' keys (``_kth`` over the live members) and
-    refreshes only rows that lose a member at or below their key, so a
-    first fit is ``key <= r`` (``lam * r`` for stops).  After the openings at ``r``,
+    Each side holds its units' keys, ``_kth`` over the live members, and
+    ``drop`` recomputes them on every retirement, so a first fit is
+    ``key <= r`` (``lam * r`` for stops).  After the openings at ``r``,
     ``bound`` is the least radius at which any unit could open: the least
     eligible pair key, or the bump of the least unchosen stop key.  Until a
     stop opens, keys only rise and eligibility only shrinks, so nothing
@@ -215,11 +195,11 @@ def _sweep(m: int, k: int, members: int, dist: np.ndarray | None = None, lam: fl
     r = bound = 0.0
     if cost is not None:
         full = live[::2].copy()
-        pair_key = _kth(pair_costs, thr)
+        pair_key = _kth(pair_costs, thr, full)
         costs = cost(chosen)
         eligible = _eligible_pairs(pairs, is_chosen, k)
     if dist is not None:
-        stop_key = _kth(dist, thr)
+        stop_key = _kth(dist, thr, live)
         near, due = np.full(members, INF), np.full(members, INF)
 
     def add(unit) -> tuple[int, ...]:
@@ -236,14 +216,14 @@ def _sweep(m: int, k: int, members: int, dist: np.ndarray | None = None, lam: fl
         return extra
 
     def drop(gone: np.ndarray) -> None:
-        """Retire the live members in mask ``gone`` and refresh both key caches."""
-        nonlocal full
+        """Retire the live members in mask ``gone`` and recompute both sides' keys."""
+        nonlocal full, pair_key, stop_key
         live[gone] = False
         if cost is not None:
-            was, full = full, live[::2] & live[1::2]
-            _rekey(pair_key, pair_costs, (was > full).nonzero()[0], full.nonzero()[0], thr)
+            full = live[::2] & live[1::2]
+            pair_key = _kth(pair_costs, thr, full)
         if dist is not None:
-            _rekey(stop_key, dist, gone.nonzero()[0], live.nonzero()[0], thr)
+            stop_key = _kth(dist, thr, live)
 
     def retire(upto: float) -> None:
         """Retire every member due at a finite radius at most ``upto``, in

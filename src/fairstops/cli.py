@@ -299,7 +299,17 @@ def _parse_algs(text: str) -> list:
         out.append(_sweep(alg, lam, "--algs"))
     if not out:
         raise _CliError("--algs: need at least one algorithm")
+    _refuse_repeats("--algs", [name for name, _ in out])
     return out
+
+
+def _refuse_repeats(flag: str, values) -> None:
+    """Refuse a value listed twice in ``flag``: its rows would be written twice."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise _CliError(f"{flag}: {value} repeats")
+        seen.add(value)
 
 
 def _parse_transit(text: str) -> tuple[str, float, str]:
@@ -395,6 +405,7 @@ def _cmd_experiment(args) -> int:
                 raise _CliError(f"{flag} must be >= 1, got {value}")
         if max(ks) > m:
             raise _CliError(f"--k budget {max(ks)} exceeds --m {m}")
+        _refuse_repeats("--k", ks)
 
     if "mincost" in checks:
         algs.append(("mincost", None))  # one exact-optimum row per instance

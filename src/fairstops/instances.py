@@ -260,7 +260,7 @@ def gc_core_tight_instance(eps: float = 0.01, h: int = 10) -> Instance:
     than under the tight stops.  Budget 5; three decoy stops at infinity.
     """
     _check(0.0 <= eps < 1.0, f"eps must lie in [0, 1), got {eps}")
-    _check(h >= 1 and int(h) == h, f"h must be a positive integer, got {h}")
+    _check(1 <= h < INF and int(h) == h, f"h must be a positive integer, got {h}")
     h = int(h)
     b = _MetricBuilder()
     near = [1.0, SQRT2 - 1.0, 1.0]
@@ -313,8 +313,8 @@ def kz_core_failure_instance(gamma: float = 1.0, r: int = 2) -> Instance:
     the on-edge pairs at cost 2 each, while the vertex stops would serve the
     vertex-to-vertex agents for free.
     """
-    _check(gamma >= 1.0, f"gamma must be >= 1, got {gamma}")
-    _check(r >= 2 and int(r) == r, f"r must be an integer >= 2, got {r}")
+    _check(1.0 <= gamma < INF, f"gamma must be finite and >= 1, got {gamma}")
+    _check(2 <= r < INF and int(r) == r, f"r must be an integer >= 2, got {r}")
     r = int(r)
     z = math.ceil(r / (r - 1) * gamma + 1 - 1e-12)
     b = _MetricBuilder()
@@ -353,7 +353,8 @@ def hybrid_core_tight_instance(
     """
     _check(0.0 < lam <= 1.0, f"lam must lie in (0, 1], got {lam}")
     _check(0.0 <= eps < 1.0, f"eps must lie in [0, 1), got {eps}")
-    _check(0.0 < delta <= 2.0, f"delta must lie in (0, 2], got {delta}")
+    _check(0.0 < delta <= 2.0 and 2.0 / delta < INF,
+           f"delta must lie in (0, 2] with 2/delta finite, got {delta}")
     h = math.ceil(2.0 / delta - 1e-12)
     q = (math.sqrt(4 * lam * lam + 12 * lam + 1) - 2 * lam - 1) / (4 * lam)
     half = 1.0 / (2.0 * lam)
@@ -557,9 +558,16 @@ def _encode_tri(d: np.ndarray) -> list:
     return out
 
 
+#: The range of numpy's default integer, which the instance's index arrays hold.
+_INT_RANGE = np.iinfo(int)
+
+
 def _int(value, fieldname: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InstanceParseError(f"field '{fieldname}' must hold integers, got {value!r}")
+    if not _INT_RANGE.min <= value <= _INT_RANGE.max:
+        raise InstanceParseError(f"field '{fieldname}' holds an integer outside "
+                                 f"[{_INT_RANGE.min}, {_INT_RANGE.max}]")
     return value
 
 
@@ -578,7 +586,11 @@ def _decode_tri(values, size: int, fieldname: str) -> np.ndarray:
             if isinstance(v, str) and v.lower() in ("inf", "infinity", "+inf"):
                 x = INF
             elif isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0:
-                x = float(v)  # NaN and -inf fail the test above
+                try:
+                    x = float(v)  # NaN and -inf fail the test above
+                except OverflowError:
+                    raise InstanceParseError(
+                        f"field '{fieldname}': an integer entry exceeds the float range") from None
             else:
                 raise InstanceParseError(
                     f"field '{fieldname}': bad entry {v!r} (want a number >= 0 or \"inf\")")
@@ -626,6 +638,8 @@ def read_instance(path) -> Instance:
         raise InstanceParseError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # bytes that are not UTF-8, or an integer past the digit limit
+        raise InstanceParseError(f"{path}: unreadable JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InstanceParseError(f"{path}: top level must be an object")
     for fieldname in ("n", "m", "k", "points", "endpoints", "candidates", "walk", "transit"):

@@ -456,6 +456,13 @@ def _block_rows(size: int, n: int) -> int:
     return max(1, BLOCK_FLOATS // max(1, n * max(2 * size * (size - 1) + 1, size + 2)))
 
 
+def _row_blocks(table: np.ndarray):
+    """Slices of ``table``'s rows, one :func:`stop_sets` pair block of its
+    width each, so a table that is only read is never copied whole."""
+    step = _block_rows(2, table.shape[1])
+    return (slice(start, start + step) for start in range(0, len(table), step))
+
+
 def stop_set_costs(instance: Instance, sizes):
     """Every subset of the candidates of each of ``sizes``, in size and then
     lexicographic order, as :func:`stop_sets` blocks ``(sets, routes)`` with
@@ -468,9 +475,7 @@ def stop_set_costs(instance: Instance, sizes):
     for size in sizes:
         if size == 2:
             pairs, routes = instance._pair_table
-            step = _block_rows(2, instance.n)
-            for start in range(0, len(pairs), step):
-                rows = slice(start, start + step)
+            for rows in _row_blocks(routes):
                 yield pairs[rows], routes[rows]
         else:
             for sets in stop_sets(instance.m, size, instance.n):

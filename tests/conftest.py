@@ -86,6 +86,10 @@ BAD_FIELD_VALUES = [
     pytest.param("endpoints", 0, [0, "1"], id="endpoints-str"),
     pytest.param("endpoints", 0, [0, 1.0], id="endpoints-float"),
     pytest.param("candidates", 0, "8", id="candidates-str"),
+    pytest.param("endpoints", 0, [0, 2**63], id="endpoints-past-int64"),
+    pytest.param("candidates", 0, -2**63 - 1, id="candidates-past-int64"),
+    pytest.param("walk", 1, 10**400, id="walk-past-float"),
+    pytest.param("transit", 1, 10**400, id="transit-past-float"),
 ]
 
 

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 
 import fairstops as fs
+from fairstops import model
+from fairstops.algorithms import _kth
 from conftest import family_instances, grid_instance, grid_instances
 from oracles import (
     brute_jr_factor,
@@ -391,6 +393,26 @@ def test_sweep_time_is_not_quadratic_in_agents(run):
     assert sorted(retired) == list(range(2 * inst.n))
     radii = trace.radii()
     assert all(a <= b for a, b in zip(radii, radii[1:]))
+
+
+def test_sweep_key_is_the_sorted_order_statistic_over_kept_columns(monkeypatch):
+    # Blocks of 200 floats split the wider tables into several row blocks,
+    # the last one short.  Integer entries make ties, and a fifth are INF.
+    monkeypatch.setattr(model, "BLOCK_FLOATS", 200)
+    rng = np.random.default_rng(11)
+    for rows, width in ((1, 1), (9, 5), (50, 3), (40, 12)):
+        table = rng.integers(0, 4, size=(rows, width)).astype(float)
+        table[rng.random(table.shape) < 0.2] = np.inf
+        table.flags.writeable = False
+        if rows > 1:
+            assert len(list(model._row_blocks(table))) > 1
+        for keep in (np.ones(width, dtype=bool), rng.random(width) < 0.5,
+                     np.zeros(width, dtype=bool)):
+            kept = table[:, keep]
+            for thr in range(1, width + 1):
+                want = (np.sort(kept, axis=1)[:, thr - 1] if kept.shape[1] >= thr
+                        else np.full(rows, np.inf))
+                assert _kth(table, thr, keep).tobytes() == want.tobytes(), (rows, keep, thr)
 
 
 # ---------------------------------------------------------------------------

@@ -558,10 +558,21 @@ def test_experiment_bad_transit_factor_exit_2(tmp_path, capsys, factor):
                  id="run-gc-lam"),
     pytest.param(["run", "--alg", "eca", "--lam", "0.5"], "--lam: eca takes no weight",
                  id="run-eca-lam"),
+    pytest.param(["experiment", "--algs", "gc,gc,hybrid,hybrid:0.5"], "--algs: gc repeats",
+                 id="exp-algs-repeat"),
+    pytest.param(["experiment", "--algs", "gc,hybrid,hybrid:0.5"],
+                 "--algs: hybrid:0.5 repeats", id="exp-algs-repeat-weight"),
+    pytest.param(["experiment", "--k", "3,3"], "--k: 3 repeats", id="exp-k-repeat"),
+    pytest.param(["gen", "--family", "gc-core-tight", "--h", "inf"],
+                 "h must be a positive integer, got inf", id="gen-h-inf"),
+    pytest.param(["gen", "--family", "kz", "--gamma", "inf"],
+                 "gamma must be finite and >= 1, got inf", id="gen-gamma-inf"),
+    pytest.param(["gen", "--family", "hybrid-core-tight", "--delta", "1e-320"],
+                 "delta must lie in (0, 2] with 2/delta finite", id="gen-delta-subnormal"),
 ])
 def test_refusals_name_their_flag(tmp_path, capsys, argv, named):
     out = tmp_path / "x.csv"
-    if argv[0] == "experiment":
+    if argv[0] in ("experiment", "gen"):
         argv = [*argv, "--out", str(out)]
     else:
         path = tmp_path / "t3.json"

@@ -396,6 +396,16 @@ def test_truncated_file_reports_position(tmp_path):
         fs.read_instance(path)
 
 
+@pytest.mark.parametrize("data", [b'{"n": 1' + b"0" * 5000 + b"}", b'{"n": "\xff"}'],
+                         ids=["integer-past-digit-limit", "not-utf8"])
+def test_undecodable_file_is_a_parse_error(tmp_path, data):
+    # json raises a plain ValueError for these, not a JSONDecodeError.
+    path = tmp_path / "a.json"
+    path.write_bytes(data)
+    with pytest.raises(fs.InstanceParseError, match="unreadable JSON"):
+        fs.read_instance(path)
+
+
 def test_wrong_triangle_length_reports_field(tmp_path):
     inst = fs.generate("eca-jr-tight", eps=0.01)
     path = tmp_path / "a.json"
