@@ -118,30 +118,19 @@ def _kth(table: np.ndarray, thr: int, keep: np.ndarray) -> np.ndarray:
     return key
 
 
-def _open(unit, chosen: list[int], is_chosen: np.ndarray) -> tuple[int, ...]:
-    """Select the unit's stops not yet chosen; return them in index order."""
-    extra = tuple(c for c in unit if not is_chosen[c])
-    chosen.extend(extra)
-    is_chosen[list(extra)] = True
-    return extra
-
-
-def _eligible_pairs(pairs: np.ndarray, is_chosen: np.ndarray, room: int) -> np.ndarray:
-    """Pairs that add at least one stop and fit in ``room`` more stops."""
-    new = np.count_nonzero(~is_chosen[pairs], axis=1)
-    return (new > 0) & (new <= room)
-
-
 # ---------------------------------------------------------------------------
 # The trigger loop shared by every sweep
 # ---------------------------------------------------------------------------
 
 
 def _bump_until(values, lam: float) -> np.ndarray:
-    """Elementwise smallest ``r`` with ``lam * r >= value`` under float rounding.
+    """Elementwise ``value / lam``, nudged up a float at a time while
+    ``lam * r < value`` under float rounding.
 
-    Monotone in ``value``, so the least bump of a set is the bump of its
-    least entry.  At ``lam = 0`` only values at or below 0 are ever reached.
+    A nudged ``r`` is the least float reaching its value; a quotient that
+    needs no nudge can sit one float above that least.  Monotone in
+    ``value``, so the least bump of a set is the bump of its least entry.
+    At ``lam = 0`` only values at or below 0 are ever reached.
     """
     if lam == 0.0:
         return np.where(np.asarray(values) <= 0.0, 0.0, INF)
@@ -151,7 +140,7 @@ def _bump_until(values, lam: float) -> np.ndarray:
     return r
 
 
-def _sweep(m: int, k: int, members: int, dist: np.ndarray | None = None, lam: float = 1.0,
+def _sweep(m: int, k: int, dist: np.ndarray | None = None, lam: float = 1.0,
            pair_table: tuple[np.ndarray, np.ndarray] | None = None,
            cost=None) -> tuple[list[int], RunTrace]:
     """Grow one radius ``r`` over a single-stop side, a pair side, or both.
@@ -178,13 +167,16 @@ def _sweep(m: int, k: int, members: int, dist: np.ndarray | None = None, lam: fl
     leaves no event, so landing on ``bound`` after its key has risen is
     harmless.
 
-    The other derived state is carried across passes too: ``drop`` refreshes
-    ``full``, the agents with both endpoints live, and ``add``, once per
-    opening, refreshes ``near`` (each member's distance to the selection)
-    with its bump ``due``, the agents' ``costs`` and ``eligible``.
+    ``add`` and ``drop`` are the only writers of the sweep's state.  ``drop``
+    retires members and recomputes ``full``, the agents with both endpoints
+    live, and both keys; ``add`` opens stops and recomputes ``near`` (each
+    member's distance to the selection) with its bump ``due``, the agents'
+    ``costs`` and ``eligible``.  A sweep starts as ``add`` of no unit and
+    ``drop`` of no member.
     """
     if cost is not None:
         pairs, pair_costs = pair_table
+    members = dist.shape[1] if dist is not None else 2 * pair_costs.shape[1]
     if not members:  # nothing to serve, and a threshold of 0 picks no order statistic
         return [], RunTrace(())
     thr = -(-members // k)
@@ -193,30 +185,26 @@ def _sweep(m: int, k: int, members: int, dist: np.ndarray | None = None, lam: fl
     is_chosen = np.zeros(m, dtype=bool)
     events: list[TraceEvent] = []
     r = bound = 0.0
-    if cost is not None:
-        full = live[::2].copy()
-        pair_key = _kth(pair_costs, thr, full)
-        costs = cost(chosen)
-        eligible = _eligible_pairs(pairs, is_chosen, k)
-    if dist is not None:
-        stop_key = _kth(dist, thr, live)
-        near, due = np.full(members, INF), np.full(members, INF)
+    full = pair_key = stop_key = near = due = costs = eligible = None
 
     def add(unit) -> tuple[int, ...]:
-        """Open the unit's stops not yet chosen and refresh what they change."""
-        nonlocal due, costs, eligible
-        extra = _open(unit, chosen, is_chosen)
+        """Open the unit's stops not yet chosen, in index order, and recompute
+        what the selection decides."""
+        nonlocal near, due, costs, eligible
+        extra = tuple(c for c in unit if not is_chosen[c])
+        chosen.extend(extra)
+        is_chosen[list(extra)] = True
         if dist is not None:
-            for c in extra:
-                np.minimum(near, dist[c], out=near)
+            near = dist[chosen].min(axis=0, initial=INF)
             due = _bump_until(near, lam)
         if cost is not None:
             costs = cost(chosen)
-            eligible = _eligible_pairs(pairs, is_chosen, k - len(chosen))
+            new = np.count_nonzero(~is_chosen[pairs], axis=1)  # stops a pair would add
+            eligible = (new > 0) & (new <= k - len(chosen))
         return extra
 
     def drop(gone: np.ndarray) -> None:
-        """Retire the live members in mask ``gone`` and recompute both sides' keys."""
+        """Retire the members in mask ``gone`` and recompute ``full`` and the keys."""
         nonlocal full, pair_key, stop_key
         live[gone] = False
         if cost is not None:
@@ -258,6 +246,8 @@ def _sweep(m: int, k: int, members: int, dist: np.ndarray | None = None, lam: fl
                           else TraceEvent(radius[a], (), (), who))
         drop(gone)
 
+    add(())
+    drop(~live)
     while True:
         retire(bound)
         if not live.any():
@@ -317,8 +307,7 @@ def greedy_capture(clustering: ClusteringInstance) -> tuple[tuple[int, ...], Run
     the selected center indices in opening order and the trace over
     datapoint ids.
     """
-    chosen, trace = _sweep(clustering.m, clustering.k, clustering.n,
-                           dist=clustering.center_point_dists())
+    chosen, trace = _sweep(clustering.m, clustering.k, dist=clustering.center_point_dists())
     return tuple(chosen), trace
 
 
@@ -336,8 +325,7 @@ def eca(instance: Instance) -> tuple[Solution, RunTrace]:
     a later pair was about to serve.  Correct under arbitrary transit
     metrics.
     """
-    chosen, trace = _sweep(instance.m, instance.k, 2 * instance.n,
-                           pair_table=instance._pair_table,
+    chosen, trace = _sweep(instance.m, instance.k, pair_table=instance._pair_table,
                            cost=lambda chosen: solution_costs(instance, chosen))
     return Solution.of(chosen), trace
 
@@ -375,7 +363,7 @@ def hybrid(instance: Instance, lam: float) -> tuple[Solution, RunTrace]:
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must lie in [0, 1], got {lam}")
     dist = induce_clustering(instance).center_point_dists()
-    chosen, trace = _sweep(instance.m, instance.k, 2 * instance.n, dist=dist, lam=lam,
+    chosen, trace = _sweep(instance.m, instance.k, dist=dist, lam=lam,
                            pair_table=instance._pair_table,
                            cost=lambda chosen: route_costs(instance, chosen))
     return Solution.of(chosen), trace

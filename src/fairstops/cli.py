@@ -91,7 +91,9 @@ def _generate(args):
     try:
         return generate(args.family, **params)
     except (ValueError, TypeError) as exc:
-        raise _CliError(str(exc))
+        # A family refusal opens with the name of the parameter it refuses.
+        name = str(exc).split(" ", 1)[0]
+        raise _CliError(f"--{name}: {exc}" if name in params else str(exc))
 
 
 def _cmd_gen(args) -> int:

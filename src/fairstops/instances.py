@@ -311,12 +311,16 @@ def kz_core_failure_instance(gamma: float = 1.0, r: int = 2) -> Instance:
     each edge carries two on-edge stops one unit in from either side and
     ``r`` agents traveling across.  Expanding cost spends the whole budget on
     the on-edge pairs at cost 2 each, while the vertex stops would serve the
-    vertex-to-vertex agents for free.
+    vertex-to-vertex agents for free.  The family stops at 17 vertices
+    (``gamma <= 8`` at ``r = 2``, 561 points): closing and validating its
+    metric grows as z^6 and takes about 2 s there.
     """
     _check(1.0 <= gamma < INF, f"gamma must be finite and >= 1, got {gamma}")
     _check(2 <= r < INF and int(r) == r, f"r must be an integer >= 2, got {r}")
     r = int(r)
     z = math.ceil(r / (r - 1) * gamma + 1 - 1e-12)
+    _check(z <= 17, f"gamma must give at most 17 vertices, ceil(r/(r-1)*gamma + 1); "
+                    f"gamma={gamma} with r={r} gives {z}")
     b = _MetricBuilder()
     for v in range(1, z + 1):
         b.point(f"v{v}")

@@ -48,6 +48,23 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _integral(name: str, value, shape: tuple[int, ...] = ()):
+    """``value`` as an int (``shape`` left ``()``, a budget) or as a read-only
+    int array reshaped to ``shape``, an index array; ``TypeError`` naming
+    ``name`` when it holds a non-integer, so a float is refused rather than
+    truncated.  A budget converts by ``operator.index``; a non-empty index
+    array must have an integer dtype, which a bool one is not."""
+    if shape == ():
+        try:
+            return operator.index(value)
+        except TypeError:
+            raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    a = np.asarray(value)
+    if a.size and not np.issubdtype(a.dtype, np.integer):
+        raise TypeError(f"{name} must hold integer indices, got dtype {a.dtype}")
+    return _readonly(a.astype(int, copy=False).reshape(shape))
+
+
 @dataclass(frozen=True, eq=False)
 class Metric:
     """A symmetric, nonnegative extended-real distance matrix with zero diagonal.
@@ -196,11 +213,11 @@ class Instance:
     _d_ab: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        ep = np.asarray(self.endpoints, dtype=int).reshape(-1, 2)
-        cand = np.asarray(self.candidates, dtype=int).reshape(-1)
-        object.__setattr__(self, "endpoints", _readonly(ep))
-        object.__setattr__(self, "candidates", _readonly(cand))
-        object.__setattr__(self, "k", int(self.k))
+        ep = _integral("endpoints", self.endpoints, (-1, 2))
+        cand = _integral("candidates", self.candidates, (-1,))
+        object.__setattr__(self, "endpoints", ep)
+        object.__setattr__(self, "candidates", cand)
+        object.__setattr__(self, "k", _integral("k", self.k))
         if self.candidate_labels is not None:
             labels = tuple(str(s) for s in self.candidate_labels)
             if len(labels) != len(cand):
@@ -297,11 +314,11 @@ class ClusteringInstance:
     _d_cp: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        dp = np.asarray(self.datapoints, dtype=int).reshape(-1)
-        ce = np.asarray(self.centers, dtype=int).reshape(-1)
-        object.__setattr__(self, "datapoints", _readonly(dp))
-        object.__setattr__(self, "centers", _readonly(ce))
-        object.__setattr__(self, "k", int(self.k))
+        dp = _integral("datapoints", self.datapoints, (-1,))
+        ce = _integral("centers", self.centers, (-1,))
+        object.__setattr__(self, "datapoints", dp)
+        object.__setattr__(self, "centers", ce)
+        object.__setattr__(self, "k", _integral("k", self.k))
         p = self.dist.size
         if not 1 <= self.k <= len(ce):
             raise ValueError(f"budget k={self.k} outside [1, m={len(ce)}]")

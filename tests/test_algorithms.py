@@ -11,7 +11,7 @@ from hypothesis import given, settings
 
 import fairstops as fs
 from fairstops import model
-from fairstops.algorithms import _kth
+from fairstops.algorithms import _bump_until, _kth
 from conftest import family_instances, grid_instance, grid_instances
 from oracles import (
     brute_jr_factor,
@@ -300,7 +300,9 @@ def test_hybrid_factor_identities():
 # Array sweeps against their loop forms
 # ---------------------------------------------------------------------------
 
-SWEEP_LAMBDAS = (0.0, 0.25, 0.5, 1.0)
+# 0.3 and 0.7 are not dyadic, so lam * (v / lam) can fall short of v and
+# the hybrid's bumps need their rounding nudge.
+SWEEP_LAMBDAS = (0.0, 0.25, 0.3, 0.5, 0.7, 1.0)
 
 
 def sweep_runs(inst):
@@ -413,6 +415,24 @@ def test_sweep_key_is_the_sorted_order_statistic_over_kept_columns(monkeypatch):
                 want = (np.sort(kept, axis=1)[:, thr - 1] if kept.shape[1] >= thr
                         else np.full(rows, np.inf))
                 assert _kth(table, thr, keep).tobytes() == want.tobytes(), (rows, keep, thr)
+
+
+def test_bump_is_the_least_radius_past_a_short_quotient():
+    # Where lam * (v / lam) falls short of v, the bump is the least float r
+    # with lam * r >= v: the float just below it falls short too.  Elsewhere
+    # it is v / lam itself, and INF (a sweep's start) stays INF.
+    rng = np.random.default_rng(5)
+    nudged = 0
+    for lam in (0.3, 0.7, *rng.uniform(0.01, 1.0, size=20)):
+        values = np.append(rng.uniform(0.0, 10.0, size=200), np.inf)
+        r, quotient = _bump_until(values, lam), values / lam
+        short = lam * quotient < values
+        assert (lam * r >= values).all() and (r[~short] == quotient[~short]).all()
+        assert (lam * np.nextafter(r[short], -np.inf) < values[short]).all()
+        nudged += int(short.sum())
+    assert nudged > 100
+    assert _bump_until(np.array([-1.0, 0.0, 0.5, np.inf]), 0.0).tolist() == [0.0, 0.0, np.inf,
+                                                                            np.inf]
 
 
 # ---------------------------------------------------------------------------

@@ -457,6 +457,33 @@ def test_experiment_records_partial_failures_per_row(tmp_path, capsys):
     assert float(rows[0]["pf_factor"]) >= 1.0
 
 
+@pytest.mark.parametrize("transit, mode, factor, label", [
+    ("random", "random", 1.0, "random"),
+    ("scaled:2", "scaled", 2.0, "2.0"),
+])
+def test_experiment_transit_mode_builds_and_labels_its_rows(tmp_path, capsys, transit, mode,
+                                                             factor, label):
+    out = tmp_path / "t.csv"
+    code, _, _ = run_cli(
+        capsys,
+        "experiment", "--out", str(out), "--rounds", "3", "--n", "8", "--m", "5",
+        "--k", "2", "--algs", "hybrid:0.5", "--checks", "jr", "--transit", transit,
+    )
+    assert code == 0
+    with open(out) as fh:
+        fh.readline()
+        rows = list(csv.DictReader(fh))
+    assert [row["transit_scale"] for row in rows] == [label] * 3
+    free = 0
+    for row in rows:
+        seed = int(row["seed"])
+        inst = fs.random_euclidean(8, 5, 2, seed, transit=mode, factor=factor)
+        assert row["total_cost"] == repr(fs.total_cost(inst, fs.hybrid(inst, 0.5)[0]))
+        null = fs.random_euclidean(8, 5, 2, seed)
+        free += row["total_cost"] == repr(fs.total_cost(null, fs.hybrid(null, 0.5)[0]))
+    assert free < 3  # the mode reaches the instances
+
+
 def test_experiment_bad_args_exit_2(tmp_path, capsys):
     out = tmp_path / "x.csv"
     code, _, _ = run_cli(capsys, "experiment", "--out", str(out), "--checks", "bogus")
@@ -564,11 +591,13 @@ def test_experiment_bad_transit_factor_exit_2(tmp_path, capsys, factor):
                  "--algs: hybrid:0.5 repeats", id="exp-algs-repeat-weight"),
     pytest.param(["experiment", "--k", "3,3"], "--k: 3 repeats", id="exp-k-repeat"),
     pytest.param(["gen", "--family", "gc-core-tight", "--h", "inf"],
-                 "h must be a positive integer, got inf", id="gen-h-inf"),
+                 "--h: h must be a positive integer, got inf", id="gen-h-inf"),
     pytest.param(["gen", "--family", "kz", "--gamma", "inf"],
-                 "gamma must be finite and >= 1, got inf", id="gen-gamma-inf"),
+                 "--gamma: gamma must be finite and >= 1, got inf", id="gen-gamma-inf"),
     pytest.param(["gen", "--family", "hybrid-core-tight", "--delta", "1e-320"],
-                 "delta must lie in (0, 2] with 2/delta finite", id="gen-delta-subnormal"),
+                 "--delta: delta must lie in (0, 2] with 2/delta finite", id="gen-delta-subnormal"),
+    pytest.param(["gen", "--family", "kz", "--gamma", "40"],
+                 "--gamma: gamma must give at most 17 vertices", id="gen-gamma-too-large"),
 ])
 def test_refusals_name_their_flag(tmp_path, capsys, argv, named):
     out = tmp_path / "x.csv"

@@ -217,6 +217,14 @@ def test_core_backends_refuse_a_broken_walk_bound(backend):
             check()
 
 
+def test_core_refuses_an_unknown_backend(table5):
+    inst, sol = table5
+    for check in (lambda: fs.core_ratio(inst, sol, 1, backend="x"),
+                  lambda: fs.core_violation(inst, sol, 1, backend="x")):
+        with pytest.raises(ValueError, match="unknown backend 'x'"):
+            check()
+
+
 def test_stop_set_limit_is_inclusive():
     fs.model.check_stop_sets(fs.model.MAX_STOP_SETS, [1])
     with pytest.raises(fs.EnumerationGuardError, match=str(fs.model.MAX_STOP_SETS + 1)):

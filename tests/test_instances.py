@@ -211,6 +211,9 @@ def test_family_param_validation():
         fs.generate("kz", gamma=0.5, r=2)
     with pytest.raises(ValueError):
         fs.generate("kz", gamma=1, r=1)
+    for gamma, r in ((40, 2), (8.5, 2), (11, 3)):  # 81, 18 and 18 vertices, over 17
+        with pytest.raises(ValueError, match="^gamma must give at most 17 vertices"):
+            fs.generate("kz", gamma=gamma, r=r)
     with pytest.raises(ValueError):
         fs.generate("gc-core-tight", eps=0.01, h=0)
     with pytest.raises(ValueError):

@@ -61,6 +61,14 @@ def test_metric_asymmetry_and_diagonal():
     assert any("diagonal" in m for m in issues)
 
 
+def test_metric_refuses_non_square_and_reports_nan():
+    for shape in ((2, 3), (4,)):
+        with pytest.raises(ValueError, match=r"distance matrix must be square, got shape"):
+            fs.Metric(np.zeros(shape))
+    assert fs.Metric([[0.0, np.nan], [np.nan, 0.0]]).violations("walk") == [
+        "walk: NaN entries present"]
+
+
 def test_solution_requires_strictly_increasing():
     with pytest.raises(ValueError):
         fs.Solution((2, 1))
@@ -97,6 +105,9 @@ def test_agent_cost_index_error():
     inst = fs.generate("jr-lower")
     with pytest.raises(IndexError):
         fs.agent_cost(inst, 5, ())
+    for bad in (-1, 3):
+        with pytest.raises(IndexError, match=rf"agent index {bad} out of range for n=3"):
+            fs.improving_pairs(inst, bad, (0, 1))
 
 
 def test_agent_index_must_be_an_integer():
@@ -458,6 +469,18 @@ def test_validate_reports_triangle_and_index_errors():
     assert any("endpoint index" in m for m in issues)
 
 
+@pytest.mark.parametrize("candidates, transit, problem", [
+    pytest.param([2, 2], None, "duplicate candidate point indices", id="duplicate"),
+    pytest.param([2, 3], None, "candidate index out of range [0, 3)", id="candidate-high"),
+    pytest.param([-1, 2], None, "candidate index out of range [0, 3)", id="candidate-low"),
+    pytest.param([1, 2], [[0.0]], "transit metric size 1 != m=2", id="transit-size"),
+])
+def test_validate_names_each_broken_candidate_invariant(candidates, transit, problem):
+    walk = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    inst = tiny_instance(walk, endpoints=[(0, 1)], candidates=candidates, k=1, transit=transit)
+    assert fs.validate_instance(inst) == [problem]
+
+
 def test_validate_never_throws_on_bad_budget():
     walk = [[0, 1], [1, 0]]
     inst = tiny_instance(walk, endpoints=[(0, 1)], candidates=[0], k=5)
@@ -622,6 +645,32 @@ def test_clustering_instance_rejects_out_of_range_indices():
     for k in (0, 3):
         with pytest.raises(ValueError, match=rf"budget k={k} outside \[1, m=2\]"):
             fs.ClusteringInstance(datapoints=[0, 1], centers=[1, 2], dist=dist, k=k)
+
+
+def test_constructors_refuse_non_integer_indices_and_budgets():
+    # A float index or budget used to be truncated: endpoints + 0.7 built the
+    # base instance again, and k=2.9 read as 2.
+    base = fs.random_euclidean(3, 3, 2, 0)
+    fields = dict(endpoints=base.endpoints, candidates=base.candidates, k=base.k)
+    bad = dict(endpoints=base.endpoints + 0.7, candidates=base.candidates + 0.2, k=2.9)
+    for name in fields:
+        with pytest.raises(TypeError, match=rf"^{name} must"):
+            fs.Instance(walk=base.walk, transit=base.transit, **{**fields, name: bad[name]})
+    with pytest.raises(TypeError, match="^endpoints must hold integer indices, got dtype bool"):
+        fs.Instance(walk=base.walk, transit=base.transit,
+                    **{**fields, "endpoints": np.ones((3, 2), dtype=bool)})
+    fields = dict(datapoints=[0, 1], centers=[2], k=1)
+    bad = dict(datapoints=[0.9, 1.5], centers=[2.7], k=1.8)
+    for name in fields:
+        with pytest.raises(TypeError, match=rf"^{name} must"):
+            fs.ClusteringInstance(dist=base.walk, **{**fields, name: bad[name]})
+    # Integer-valued numpy scalars and empty arrays of any dtype still pass.
+    same = fs.Instance(endpoints=base.endpoints.astype(np.int32), candidates=base.candidates,
+                       walk=base.walk, transit=base.transit, k=np.int64(2))
+    assert same == base and type(same.k) is int
+    empty = fs.Instance(endpoints=np.empty((0, 2)), candidates=base.candidates,
+                        walk=base.walk, transit=base.transit, k=2)
+    assert empty.endpoints.shape == (0, 2) and empty.endpoints.dtype == int
 
 
 def test_clustering_to_trsp_structure():
