@@ -16,6 +16,9 @@ All of them run one blocking search (:func:`_search`) over deviation
 targets taken in blocks: stop sets of one size, in size order and then
 lexicographic order, each block with its ``(targets, agents)`` route-cost
 table, uncapped by the walk (:func:`~fairstops.model.stop_set_costs` says why).
+Single-stop and pair blocks are read-only row views of the instance's own
+tables, so the route-cost kernel runs only for the placement under test and
+for targets of other sizes; each block costs one ratio pass.
 Tight factors are computed exactly by order statistics over the finitely
 many cost ratios rather than by bisection: for each deviation target the
 factor it can block is the ``need``-th largest ratio
@@ -102,9 +105,13 @@ def _ratios(cy: np.ndarray, ct: np.ndarray) -> np.ndarray:
     ``cy`` broadcasts against a ``(targets, agents)`` table ``ct``.  On
     nonnegative costs IEEE division already gives ``x/0 -> inf``,
     ``x/inf -> 0`` and ``inf/x -> inf`` for finite ``x``; its only NaN quotients, 0/0 and
-    inf/inf, have equal operands and read 1."""
+    inf/inf, have equal operands, and every equal pair reads 1.  One
+    division, its equal entries then set in place; the result is a fresh
+    array that the caller owns."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(cy == ct, 1.0, cy / ct)
+        r = np.divide(cy, ct)
+    np.copyto(r, 1.0, where=cy == ct)
+    return r
 
 
 def _reaches(r, beta: float):
@@ -140,28 +147,33 @@ def _search(cy: np.ndarray, blocks, needs: dict[int, int],
     largest ratio, if above 1); with one, the first target on which at least
     ``need`` agents reach ``beta``.  The witness coalition is every agent
     reaching that factor, or ``beta``.
+
+    Each block's ratio table is fresh and is partitioned in place; the
+    witness's ratios are recomputed from its row of costs, so no ratio
+    table outlives its block.
     """
     found = None
     for targets, costs in blocks:
         need = needs[targets.shape[1]]
         ratios = _ratios(cy, costs)
-        kth = np.partition(ratios, -need, axis=1)[:, -need]
+        ratios.partition(-need, axis=1)
+        kth = ratios[:, -need]
         if beta is None:
             j = int(np.argmax(kth))
             if kth[j] > (found[2] if found else 1.0):
                 # Copies, so that no view keeps this block alive once the
                 # search moves on.
-                found = targets[j].copy(), ratios[j].copy(), float(kth[j])
+                found = targets[j].copy(), costs[j].copy(), float(kth[j])
             continue
         hit = _reaches(kth, beta).nonzero()[0]
         if hit.size:
             j = hit[0]
-            found = targets[j], ratios[j], float(kth[j])
+            found = targets[j], costs[j], float(kth[j])
             break
     if found is None:
         return None
-    target, r, factor = found
-    coalition = _reaches(r, factor if beta is None else beta).nonzero()[0]
+    target, cost, factor = found
+    coalition = _reaches(_ratios(cy, cost), factor if beta is None else beta).nonzero()[0]
     return Witness(tuple(coalition.tolist()), tuple(target.tolist()), factor)
 
 
@@ -328,21 +340,21 @@ def _core_violation_milp(
     # Single-stop targets are left out: _core refuses an instance that breaks
     # the walk bound, so a route boarding and alighting at one stop never
     # beats the direct walk, and no agent improves on one stop.
-    used = np.flatnonzero(reach.any(axis=1))
+    counts = np.count_nonzero(reach, axis=1)
+    used = np.flatnonzero(counts)
     if not used.size:
         return None
     served = reach.any(axis=0)
     # The screen (see above); tops[j] sums the j largest pair reach counts.
-    tops = [0] + np.sort(reach.sum(axis=1))[::-1].cumsum().tolist()
-    reachable = int(np.count_nonzero(served))
-    if not any(min(reachable, tops[min(t * (t - 1) // 2, len(tops) - 1)]) >= need
+    tops = [0] + np.sort(counts)[::-1].cumsum().tolist()
+    u, s = len(used), int(np.count_nonzero(served))
+    if not any(min(s, tops[min(t * (t - 1) // 2, len(tops) - 1)]) >= need
                for t, need in needs.items() if t >= 2):
         return None
     # Variables: x_i (agents), s_c (stops), y_j (pairs actually improving
     # someone).  Rows, each at most 0: x_i <= the sum of the y_j reaching
     # agent i, for every agent some pair reaches; y_j <= s_a and y_j <= s_b
     # for pair j = (a, b); and the size rule p * n * |T| <= k * q * |S|.
-    u, s = len(used), np.count_nonzero(served)
     rows = np.block([
         [np.eye(n)[served], np.zeros((s, m)), np.where(reach[np.ix_(used, served)].T, -1.0, 0.0)],
         [np.zeros((2 * u, n)), 0.0 - np.eye(m)[pairs[used].ravel()],
@@ -375,16 +387,18 @@ def _core_milp(instance, cy, alpha: Fraction, needs: dict[int, int], beta: float
     pairs, routes = instance._pair_table
     ratios = _ratios(cy, routes)
 
-    def probe(rung: float) -> Witness | None:
-        return _core_violation_milp(instance, cy, alpha, needs, pairs, _reaches(ratios, rung))
+    def probe(reach: np.ndarray) -> Witness | None:
+        return _core_violation_milp(instance, cy, alpha, needs, pairs, reach)
 
     if beta is not None:
-        return probe(beta)
+        return probe(_reaches(ratios, beta))
     # Violations exist on a prefix of the ascending ladder; find its last rung.
     # The lowest rung goes first, so a fair placement costs at most one solve,
-    # none when the reach counts settle it, and no sort of the ladder.
-    gains = ratios[ratios > 1.0]
-    witness = probe(gains.min()) if gains.size else None
+    # none when the reach counts settle it, and no sort of the ladder.  Every
+    # strict gain reaches the least one, so the gain mask is that rung's reach.
+    gain = ratios > 1.0
+    gains = ratios[gain]
+    witness = probe(gain) if gains.size else None
     if witness is None:
         return FairnessReport("CORE", alpha, 1.0, None)
     ladder = np.unique(gains).tolist()
@@ -392,7 +406,7 @@ def _core_milp(instance, cy, alpha: Fraction, needs: dict[int, int], beta: float
     lo, hi = 1, len(ladder) - 1
     while lo <= hi:
         mid = (lo + hi) // 2
-        w = probe(ladder[mid])
+        w = probe(_reaches(ratios, ladder[mid]))
         if w is not None:
             factor, witness = ladder[mid], w
             lo = mid + 1

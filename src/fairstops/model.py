@@ -202,7 +202,8 @@ class Instance:
     # gather of endpoint walks.  The walk tables are stops first, (m, n):
     # _d_ca[c, i] and _d_cb[c, i], the walks between stop c and a_i and b_i,
     # are contiguous copies of its columns, and _d_cc[c, i] is agent i's route
-    # boarding and alighting at c, (walk in + ride c->c) + walk out.  The
+    # boarding and alighting at c, (walk in + ride c->c) + walk out: the
+    # single-stop target table that stop_set_costs reads as it is.  The
     # stop-pair route table (_pair_table) is built on first use instead and
     # kept for the instance's life: C(m, 2) * n * 8 bytes.  It is read as it
     # is: the walk (_d_ab) is capped in only where a cost is reported.
@@ -484,16 +485,20 @@ def stop_set_costs(instance: Instance, sizes):
     """Every subset of the candidates of each of ``sizes``, in size and then
     lexicographic order, as :func:`stop_sets` blocks ``(sets, routes)`` with
     their :func:`route_costs` tables, after :func:`check_stop_sets` on all
-    ``sizes``.  Pair blocks are views of the cached pair table.  Targets are
-    route costs, and the walk is capped only where a cost is reported: as
-    ``cy <= walk``, a ratio ``cy / route`` above 1 is the same float capped,
-    and one at most 1 stays so."""
+    ``sizes``.  Single-stop blocks are row views of ``_d_cc`` and pair blocks
+    of the cached pair table, each bit for bit the :func:`route_costs` of
+    its sets (``_d_cc`` holds ``d_ca + d_cb`` under null transit, since
+    ``d_ca`` holds no -0.0), so only other sizes reach the kernel.  Targets
+    are route costs, and the walk is capped only where a cost is reported:
+    as ``cy <= walk``, a ratio ``cy / route`` above 1 is the same float
+    capped, and one at most 1 stays so."""
     check_stop_sets(instance.m, sizes)
     for size in sizes:
-        if size == 2:
-            pairs, routes = instance._pair_table
+        if size in (1, 2):
+            sets, routes = ((np.arange(instance.m)[:, None], instance._d_cc) if size == 1
+                            else instance._pair_table)
             for rows in _row_blocks(routes):
-                yield pairs[rows], routes[rows]
+                yield sets[rows], routes[rows]
         else:
             for sets in stop_sets(instance.m, size, instance.n):
                 yield sets, route_costs(instance, sets)

@@ -439,6 +439,59 @@ def test_ratios_equal_five_where_reference():
         assert got.tobytes() == want.tobytes()
 
 
+def test_ratios_of_one_agent_against_a_row_equal_five_where_reference():
+    # improving_pairs divides one agent's cost, a numpy scalar, by a row of
+    # the pair table.
+    from fairstops.fairness import _ratios
+
+    rng = np.random.default_rng(3)
+    pool = np.array([0.0, INF, 1.0, 2.5])
+    for cy in np.concatenate([pool, rng.uniform(0, 3, 4)]):
+        row = np.where(rng.random(30) < 0.5, rng.choice(pool, 30), rng.uniform(0, 3, 30))
+        row[:2] = cy
+        got, want = _ratios(cy, row), ratios_five_where(cy, row)
+        assert isinstance(got, np.ndarray) and got.shape == want.shape == row.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_the_least_gain_is_reached_by_every_gain():
+    # The MILP's lowest rung is the least strict gain, and its reach mask is
+    # the gain mask itself, also next to 1, within RTOL of 1 and on ties.
+    from fairstops.fairness import RTOL, _reaches
+
+    rng = np.random.default_rng(5)
+    above = np.nextafter(1.0, 2.0)
+    pool = np.array([0.0, 1.0, INF, above, 1.0 + RTOL / 2, 1.0 + RTOL, 1.0 + 2 * RTOL, 1.5])
+    for _ in range(200):
+        r = rng.choice(pool, size=(int(rng.integers(1, 6)), int(rng.integers(1, 9))))
+        r[rng.random(r.shape) < 0.3] = rng.uniform(0, 3)
+        r.flat[rng.integers(r.size)] = rng.choice(pool[3:])
+        assert np.array_equal(_reaches(r, r[r > 1.0].min()), r > 1.0)
+
+
+def test_verifiers_run_the_kernel_on_the_placement_only(monkeypatch):
+    # Single-stop and pair targets are views of the instance's tables: with
+    # the pair table built, JR and a core whose targets hold at most two
+    # stops call route_costs once, for the placement, and never on a block.
+    inst = fs.random_euclidean(30, 8, 4, 3, transit="random")
+    sol = fs.eca(inst)[0]
+    assert "_pair_table" in vars(inst)  # eca built it, the kernel's one pass over pairs
+    calls, original = [], fs.model.route_costs
+
+    def counted(instance, solution):
+        calls.append(isinstance(solution, np.ndarray) and solution.ndim == 2)
+        return original(instance, solution)
+
+    monkeypatch.setattr(fs.model, "route_costs", counted)
+    monkeypatch.setattr(fs.fairness, "route_costs", counted)
+    for name, check in (("jr_ratio", lambda: fs.jr_ratio(inst, sol)),
+                        ("jr_violation", lambda: fs.jr_violation(inst, sol)),
+                        ("core_ratio", lambda: fs.core_ratio(inst, sol, 2))):
+        calls.clear()
+        check()
+        assert calls == [False], name
+
+
 def test_negative_zero_distances_read_as_zero():
     # Both agents ride free between stops on their endpoints (distance 0,
     # written as -0.0 in one twin) but pay 2 under the placement (2,).  A

@@ -17,7 +17,7 @@ import pytest
 import fairstops as fs
 from conftest import family_instances, walk_bound_breaker
 from fairstops import model
-from oracles import naive_agent_cost
+from oracles import exact_min_cost_loop, naive_agent_cost
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -287,6 +287,26 @@ def test_pair_table_holds_the_table_once():
     lone = fs.Instance([(0, 1)], [0], fs.Metric([[0, 1], [1, 0]]), fs.Metric([[0]]), 1)
     sets, table = lone._pair_table
     assert sets.shape == (0, 2) and table.shape == (0, 1)
+
+
+def test_single_stop_blocks_are_views_of_the_stop_route_table(monkeypatch):
+    # Single stops are read from _d_cc as it is, one pair-width row block at
+    # a time (four rows at 200 floats and 9 agents), and each block is bit
+    # for bit the kernel's one-stop routes under every transit mode.
+    monkeypatch.setattr(model, "BLOCK_FLOATS", 200)
+    for transit in ("null", "random", "scaled"):
+        inst = fs.random_euclidean(9, 7, 3, 5, transit=transit)
+        blocks = list(model.stop_set_costs(inst, [1]))
+        assert len(blocks) > 1, transit
+        for _, routes in blocks:
+            assert np.shares_memory(routes, inst._d_cc) and not routes.flags.writeable
+        units = np.arange(inst.m)[:, None]
+        sets = np.concatenate([sets for sets, _ in blocks])
+        routes = np.concatenate([routes for _, routes in blocks])
+        assert sets.shape == units.shape and sets.tobytes() == units.tobytes()
+        assert routes.tobytes() == fs.route_costs(inst, units).tobytes(), transit
+        (sol, cost), (want, want_cost) = fs.exact_min_cost(inst), exact_min_cost_loop(inst)
+        assert sol == want and cost.hex() == want_cost.hex(), transit
 
 
 def test_stop_sets_list_every_subset_in_order():
