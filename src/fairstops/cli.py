@@ -19,6 +19,7 @@ from . import __version__
 from .algorithms import eca, exact_min_cost, gc_trsp, hybrid
 from .fairness import (
     _as_alpha,
+    _reaches,
     core_ratio,
     core_violation,
     jr_ratio,
@@ -160,7 +161,7 @@ def _cmd_run(args) -> int:
     print("stop indices:", ",".join(str(c) for c in solution))
     costs = solution_costs(instance, solution)
     print("agent costs:", " ".join(_fmt(c) for c in costs))
-    print("total cost:", _fmt(total_cost(instance, solution)))
+    print("total cost:", _fmt(float(costs.sum())))  # total_cost of the row above
     if args.trace:
         doc = [
             {
@@ -222,24 +223,24 @@ def _cmd_verify(args) -> int:
     stops = _parse_solution(args.solution, instance)
     if not args.beta >= 1:
         raise _CliError(f"--beta must be >= 1, got {args.beta}")
-    # A report without a witness has factor 1, which rules out a violation at
-    # every beta >= 1, so the violation is searched for only after a witness.
+    # A violation at beta exists exactly when the tight factor reaches beta
+    # under the boundary rule, so the violation is searched for only then.
     if args.prop == "jr":
         report = jr_ratio(instance, stops)
-        witness = report.witness and jr_violation(instance, stops, args.beta)
+        witness = _reaches(report.factor, args.beta) and jr_violation(instance, stops, args.beta)
     elif args.prop == "core":
         alpha = _parse_alpha(args.alpha)
         try:
             report = core_ratio(instance, stops, alpha, backend=args.backend)
-            witness = report.witness and core_violation(instance, stops, alpha, args.beta,
-                                                        backend=args.backend)
+            witness = _reaches(report.factor, args.beta) and core_violation(
+                instance, stops, alpha, args.beta, backend=args.backend)
         except ImportError:
             # Found above but broken: exit 1 would read as a witness.
             raise _CliError("--backend milp needs scipy")
     else:
         clustering = induce_clustering(instance)
         report = pf_ratio(clustering, stops)
-        witness = report.witness and pf_violation(clustering, stops, args.beta)
+        witness = _reaches(report.factor, args.beta) and pf_violation(clustering, stops, args.beta)
     if args.json:
         doc = {
             "property": report.prop,

@@ -18,7 +18,11 @@ lexicographic order, each block with its ``(targets, agents)`` route-cost
 table, uncapped by the walk (:func:`~fairstops.model.stop_set_costs` says why).
 Single-stop and pair blocks are read-only row views of the instance's own
 tables, so the route-cost kernel runs only for the placement under test and
-for targets of other sizes; each block costs one ratio pass.
+for targets of other sizes; each block costs one ratio pass.  The placement
+itself is priced once: every verifier here reads its costs through
+:func:`_costs`, and the instance keeps the last placement priced with its
+read-only cost row, so checking JR, the core (either backend) and
+:func:`improving_pairs` on one placement runs the kernel for it once.
 Tight factors are computed exactly by order statistics over the finitely
 many cost ratios rather than by bisection: for each deviation target the
 factor it can block is the ``need``-th largest ratio
@@ -106,11 +110,13 @@ def _ratios(cy: np.ndarray, ct: np.ndarray) -> np.ndarray:
     nonnegative costs IEEE division already gives ``x/0 -> inf``,
     ``x/inf -> 0`` and ``inf/x -> inf`` for finite ``x``; its only NaN quotients, 0/0 and
     inf/inf, have equal operands, and every equal pair reads 1.  One
-    division, its equal entries then set in place; the result is a fresh
-    array that the caller owns."""
+    division; only when it leaves a NaN are the equal entries set in place
+    (a finite nonzero ``x/x`` is 1 already, and a NaN operand equals
+    nothing).  The result is a fresh array that the caller owns."""
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.divide(cy, ct)
-    np.copyto(r, 1.0, where=cy == ct)
+    if np.isnan(r).any():
+        np.copyto(r, 1.0, where=cy == ct)
     return r
 
 
@@ -133,8 +139,21 @@ def _check_budget(chosen: tuple[int, ...], k: int, noun: str = "stops") -> tuple
 
 
 def _costs(instance: Instance, solution) -> np.ndarray:
-    """The agents' costs under a placement within the budget."""
-    return solution_costs(instance, _check_budget(as_stops(solution), instance.k))
+    """The agents' costs under a placement within the budget, as a read-only
+    row shared by every verifier call on that placement.
+
+    The instance keeps the last placement priced and its row (``_priced``);
+    a call on another placement prices it and replaces the entry, and a
+    refused placement raises before the entry is touched.  The entry is one
+    tuple replaced whole, so concurrent calls each read a matching pair."""
+    stops = _check_budget(as_stops(solution), instance.k)
+    priced = instance._priced
+    if priced is None or priced[0] != stops:
+        costs = solution_costs(instance, stops)
+        costs.flags.writeable = False
+        priced = stops, costs
+        object.__setattr__(instance, "_priced", priced)
+    return priced[1]
 
 
 def _search(cy: np.ndarray, blocks, needs: dict[int, int],

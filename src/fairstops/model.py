@@ -207,11 +207,17 @@ class Instance:
     # stop-pair route table (_pair_table) is built on first use instead and
     # kept for the instance's life: C(m, 2) * n * 8 bytes.  It is read as it
     # is: the walk (_d_ab) is capped in only where a cost is reported.
+    # _priced is the verifiers' one-entry memo, (stops, costs): the placement
+    # fairness._costs last priced and its read-only (n,) solution_costs row,
+    # written only after a pricing succeeds, so every verifier call on one
+    # placement shares one row.
     _clustering: ClusteringInstance = field(init=False, repr=False)
     _d_ca: np.ndarray = field(init=False, repr=False)
     _d_cb: np.ndarray = field(init=False, repr=False)
     _d_cc: np.ndarray = field(init=False, repr=False)
     _d_ab: np.ndarray = field(init=False, repr=False)
+    _priced: tuple[tuple[int, ...], np.ndarray] | None = field(
+        init=False, repr=False, default=None)
 
     def __post_init__(self):
         ep = _integral("endpoints", self.endpoints, (-1, 2))
@@ -265,7 +271,7 @@ class Instance:
 
     def __reduce__(self):
         # Pickle and copy carry the six inputs only: the derived tables and
-        # the cached pair table are rebuilt from them.
+        # the cached pair table are rebuilt from them, and the memo is dropped.
         return type(self), (self.endpoints, self.candidates, self.walk, self.transit, self.k,
                             self.candidate_labels)
 

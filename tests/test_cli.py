@@ -253,6 +253,76 @@ def test_verify_searches_a_violation_only_after_a_witness(tmp_path, capsys, monk
     assert len(solves) == 1
 
 
+@pytest.mark.parametrize("prop, solution, extra", [
+    ("jr", "2,3", ()),
+    ("core", "1,3", ("--alpha", "1", "--backend", "enumerate")),
+    ("core", "1,3", ("--alpha", "1", "--backend", "milp")),
+    ("pf", "2", ()),
+])
+def test_verify_skips_the_violation_when_the_factor_misses_beta(tmp_path, capsys, monkeypatch,
+                                                                 prop, solution, extra):
+    # A violation at beta exists exactly when the tight factor reaches beta,
+    # so verify searches for one only then; its output and exit code must
+    # be those of searching after every witness, at beta on either side of
+    # the factor and of the boundary rule's threshold.
+    import numpy as np
+
+    inst = {"jr": fs.generate("gc-jr-tight", eps=0.01),
+            "core": fs.generate("eca-jr-tight", eps=0.01),
+            "pf": fs.random_euclidean(12, 6, 3, 0, transit="random")}[prop]
+    path = tmp_path / "i.json"
+    fs.write_instance(inst, path)
+    stops = tuple(map(int, solution.split(",")))
+    factor = (fs.pf_ratio(fs.induce_clustering(inst), stops) if prop == "pf"
+              else fs.jr_ratio(inst, stops) if prop == "jr"
+              else fs.core_ratio(inst, stops, 1)).factor
+    reaches = fs.fairness._reaches
+    assert 1.0 < factor < math.inf
+    edge = factor / (1.0 - fs.fairness.RTOL)  # the largest beta the factor reaches
+    while not reaches(factor, edge):
+        edge = np.nextafter(edge, 0.0)
+    while reaches(factor, np.nextafter(edge, math.inf)):
+        edge = np.nextafter(edge, math.inf)
+    low = factor * (1.0 - fs.fairness.RTOL)
+    betas = [1.0, (1.0 + factor) / 2, factor, np.nextafter(low, 0.0), np.nextafter(low, math.inf),
+             edge, np.nextafter(edge, math.inf), factor * 1e6]
+    calls = []
+    for name in ("jr_violation", "core_violation", "pf_violation"):
+        monkeypatch.setattr(cli, name, lambda *a, real=getattr(cli, name), **kw:
+                            calls.append(1) or real(*a, **kw))
+    for beta in betas:
+        for fmt in ((), ("--json",)):
+            argv = ("verify", "--instance", str(path), "--solution", solution, "--prop", prop,
+                    "--beta", repr(float(beta)), *extra, *fmt)
+            calls.clear()
+            got = run_cli(capsys, *argv)
+            assert calls == ([1] if reaches(factor, beta) else []), beta
+            with monkeypatch.context() as always:
+                # A witness exists exactly when the factor exceeds 1.
+                always.setattr(cli, "_reaches", lambda f, b: f > 1.0)
+                assert run_cli(capsys, *argv) == got, beta
+            assert got[0] == (1 if reaches(factor, beta) else 0)
+    assert not reaches(factor, np.nextafter(edge, math.inf)) and reaches(factor, low)
+
+
+def test_run_prices_its_placement_once(tmp_path, capsys, monkeypatch):
+    inst = fs.random_euclidean(20, 8, 3, 1, transit="random")
+    path = tmp_path / "r.json"
+    fs.write_instance(inst, path)
+    calls, real = [], fs.model.solution_costs
+
+    def counted(instance, solution):
+        calls.append(tuple(solution))
+        return real(instance, solution)
+
+    monkeypatch.setattr(cli, "solution_costs", counted)
+    monkeypatch.setattr(fs.model, "solution_costs", counted)  # total_cost's lookup
+    code, stdout, _ = run_cli(capsys, "run", "--instance", str(path), "--alg", "gc")
+    stops = fs.gc_trsp(inst)[0].stops
+    assert code == 0 and calls == [stops]
+    assert f"total cost: {cli._fmt(fs.total_cost(inst, stops))}\n" in stdout
+
+
 def test_verify_core_guard_exits_3(tmp_path, capsys):
     # m=40, k=12 at alpha 1 lists sum(C(40, s) for s in 1..12) stop sets.
     inst = fs.random_euclidean(3, 40, 12, seed=0)

@@ -1,6 +1,10 @@
 """Fairness verifiers: pinned witnesses, ratio conventions, backend agreement."""
 
+import copy
 import math
+import pickle
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -454,6 +458,36 @@ def test_ratios_of_one_agent_against_a_row_equal_five_where_reference():
         assert got.tobytes() == want.tobytes()
 
 
+def test_ratios_fix_equal_entries_only_where_a_quotient_is_nan():
+    # The equal-entry fix runs only when the division leaves a NaN; the table
+    # must be the one the fix applied on every call gives, bit for bit, also
+    # on signed zeros and NaN costs, and the five-where reference's wherever
+    # its conventions speak (no NaN operand, and a sign bit only on ties).
+    from fairstops.fairness import _ratios
+
+    def fixed_always(cy, ct):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.divide(cy, ct)
+        np.copyto(r, 1.0, where=cy == ct)
+        return r
+
+    rng = np.random.default_rng(11)
+    pools = [np.array([0.0, -0.0, INF, np.nan, 1.0, 2.5]), np.array([0.0, INF, 1.0, 2.5]),
+             np.array([0.0, -0.0, 2.5]), np.array([INF, 1.0]), np.array([1.0, 2.5])]
+    for trial in range(100):
+        pool, n = pools[trial % len(pools)], int(rng.integers(1, 30))
+        cy = np.where(rng.random(n) < 0.6, rng.choice(pool, n), rng.uniform(0, 3, n))
+        ct = np.where(rng.random((5, n)) < 0.6, rng.choice(pool, (5, n)), rng.uniform(0, 3, (5, n)))
+        ct[0] = cy
+        got = _ratios(cy, ct)
+        assert got.tobytes() == fixed_always(cy, ct).tobytes()
+        cyt = np.broadcast_to(cy, ct.shape)
+        nan = np.isnan(cyt) | np.isnan(ct)
+        spoken = ~nan & ((~np.signbit(cyt) & ~np.signbit(ct)) | (cyt == ct))
+        assert got[spoken].tobytes() == ratios_five_where(cy, ct)[spoken].tobytes()
+        assert np.isnan(got[nan]).all()
+
+
 def test_the_least_gain_is_reached_by_every_gain():
     # The MILP's lowest rung is the least strict gain, and its reach mask is
     # the gain mask itself, also next to 1, within RTOL of 1 and on ties.
@@ -470,11 +504,13 @@ def test_the_least_gain_is_reached_by_every_gain():
 
 
 def test_verifiers_run_the_kernel_on_the_placement_only(monkeypatch):
-    # Single-stop and pair targets are views of the instance's tables: with
-    # the pair table built, JR and a core whose targets hold at most two
-    # stops call route_costs once, for the placement, and never on a block.
+    # Single-stop and pair targets are views of the instance's tables, and a
+    # placement is priced once per instance: with the pair table built, JR
+    # and a core whose targets hold at most two stops call route_costs once
+    # over the whole sequence, for the placement, and never on a block.
     inst = fs.random_euclidean(30, 8, 4, 3, transit="random")
     sol = fs.eca(inst)[0]
+    other = (0, 1) if sol.stops != (0, 1) else (0, 2)
     assert "_pair_table" in vars(inst)  # eca built it, the kernel's one pass over pairs
     calls, original = [], fs.model.route_costs
 
@@ -482,14 +518,106 @@ def test_verifiers_run_the_kernel_on_the_placement_only(monkeypatch):
         calls.append(isinstance(solution, np.ndarray) and solution.ndim == 2)
         return original(instance, solution)
 
+    def check(placement):
+        fs.jr_ratio(inst, placement)
+        fs.jr_violation(inst, placement)
+        fs.core_ratio(inst, placement, 2)
+
     monkeypatch.setattr(fs.model, "route_costs", counted)
     monkeypatch.setattr(fs.fairness, "route_costs", counted)
-    for name, check in (("jr_ratio", lambda: fs.jr_ratio(inst, sol)),
-                        ("jr_violation", lambda: fs.jr_violation(inst, sol)),
-                        ("core_ratio", lambda: fs.core_ratio(inst, sol, 2))):
-        calls.clear()
-        check()
-        assert calls == [False], name
+    check(sol)
+    assert calls == [False]
+    check(other)  # a second placement is priced once more
+    assert calls == [False] * 2
+    check(sol)  # and so is a return to the first: the memo holds one entry
+    assert calls == [False] * 3
+
+
+def all_verifiers(inst, stops):
+    out = [fs.jr_ratio(inst, stops), fs.jr_violation(inst, stops)]
+    for backend in ("enumerate", "milp"):
+        out += [fs.core_ratio(inst, stops, 1, backend),
+                fs.core_violation(inst, stops, 1, 1.0, backend)]
+    return out + [[fs.improving_pairs(inst, i, stops) for i in range(inst.n)]]
+
+
+@pytest.mark.parametrize("family, sweep", [("eca-jr-tight", fs.eca), ("gc-jr-tight", fs.gc_trsp)])
+def test_verifiers_on_one_instance_match_a_fresh_copy(family, sweep):
+    # The instance keeps the last placement priced; moving between
+    # placements must give every report and witness a fresh instance gives.
+    inst = fs.generate(family, eps=0.01)
+    a = sweep(inst)[0].stops  # tight: every verifier finds a witness on it
+    b = (0, inst.m - 1)
+    full = tuple(range(inst.k))
+    for stops in (a, b, a, (), full):
+        fresh = pickle.loads(pickle.dumps(inst))
+        assert all_verifiers(inst, stops) == all_verifiers(fresh, stops), stops
+        assert inst._priced[0] == stops
+
+
+def test_priced_row_is_read_only_and_stays_with_its_instance():
+    inst = fs.random_euclidean(10, 5, 2, 0, transit="random")
+    fs.jr_ratio(inst, np.array([1, 0]))
+    stops, costs = inst._priced
+    assert stops == (0, 1)
+    assert costs.tobytes() == fs.solution_costs(inst, stops).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        costs[0] = 0.0
+    for twin in (pickle.loads(pickle.dumps(inst)), copy.copy(inst), copy.deepcopy(inst)):
+        assert twin == inst and twin._priced is None
+
+
+def test_threads_verifying_one_instance_agree_with_one_thread():
+    # Threads share an instance's priced row.  A pricing is written as one
+    # (stops, costs) tuple, so a thread always reads the row of the stops it
+    # compared, whichever placement another thread priced last.
+    inst = fs.generate("gc-jr-tight", eps=0.01)
+    placements = [(2, 3), (0, 5), (), (0, 1, 2, 3)]
+
+    def verify(x, stops):
+        return [fs.jr_ratio(x, stops), fs.jr_violation(x, stops), fs.core_ratio(x, stops, 1),
+                [fs.improving_pairs(x, i, stops) for i in range(x.n)]]
+
+    want = {stops: verify(pickle.loads(pickle.dumps(inst)), stops) for stops in placements}
+    errors = []
+
+    def work(offset):
+        try:
+            for i in range(20):
+                stops = placements[(i + offset) % len(placements)]
+                assert verify(inst, stops) == want[stops], stops
+        except BaseException as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+
+def test_refused_placement_leaves_the_priced_row_as_it_was():
+    inst = fs.random_euclidean(10, 5, 2, 0, transit="random")
+    fs.jr_ratio(inst, (0, 1))
+    priced = inst._priced
+    for bad, error, match in (((0, 1, 2), ValueError, "3 stops exceed budget k=2"),
+                              ((0, 5), ValueError, r"stop index 5 out of range \[0, 5\)"),
+                              ((-1,), ValueError, r"stop index -1 out of range \[0, 5\)"),
+                              ((0.5,), TypeError, "integer")):
+        for call in (lambda: fs.jr_ratio(inst, bad), lambda: fs.jr_violation(inst, bad),
+                     lambda: fs.core_ratio(inst, bad, 1),
+                     lambda: fs.core_violation(inst, bad, 1, backend="milp"),
+                     lambda: fs.improving_pairs(inst, 0, bad)):
+            with pytest.raises(error, match=match):
+                call()
+            assert inst._priced is priced
 
 
 def test_negative_zero_distances_read_as_zero():
