@@ -16,13 +16,15 @@ All of them run one blocking search (:func:`_search`) over deviation
 targets taken in blocks: stop sets of one size, in size order and then
 lexicographic order, each block with its ``(targets, agents)`` route-cost
 table, uncapped by the walk (:func:`~fairstops.model.stop_set_costs` says why).
-Single-stop and pair blocks are read-only row views of the instance's own
-tables, so the route-cost kernel runs only for the placement under test and
-for targets of other sizes; each block costs one ratio pass.  The placement
-itself is priced once: every verifier here reads its costs through
-:func:`_costs`, and the instance keeps the last placement priced with its
-read-only cost row, so checking JR, the core (either backend) and
-:func:`improving_pairs` on one placement runs the kernel for it once.
+Every target's row is read from the instance's tables: single-stop and pair
+blocks are read-only row views of its one-stop and pair route tables, and a
+set of three or more stops is the elementwise minimum of its pairs' rows, so
+:func:`~fairstops.model.route_costs` prices only the placement under test
+(and the integer program's witness, one stop set); each block costs one
+ratio pass.  The placement itself is priced once: every verifier here reads
+its costs through :func:`_costs`, and the instance keeps the last placement
+priced with its read-only cost row, so checking JR, the core (either
+backend) and :func:`improving_pairs` on one placement prices it once.
 Tight factors are computed exactly by order statistics over the finitely
 many cost ratios rather than by bisection: for each deviation target the
 factor it can block is the ``need``-th largest ratio
@@ -393,9 +395,9 @@ def _core_violation_milp(
     if -res.fun < 0.5:
         return None
     coalition = tuple(np.flatnonzero(res.x[:n] > 0.5).tolist())
-    target = np.flatnonzero(res.x[n:n + m] > 0.5)[None, :]
-    blocked = _search(cy, [(target, route_costs(instance, target))], needs)
-    return Witness(coalition, tuple(target[0].tolist()), blocked.factor)
+    target = np.flatnonzero(res.x[n:n + m] > 0.5)
+    blocked = _search(cy, [(target[None], route_costs(instance, target)[None])], needs)
+    return Witness(coalition, tuple(target.tolist()), blocked.factor)
 
 
 def _core_milp(instance, cy, alpha: Fraction, needs: dict[int, int], beta: float | None):

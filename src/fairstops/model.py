@@ -31,7 +31,7 @@ INF = math.inf
 #: within this fraction of a bound is taken to meet it.
 RTOL = 1e-12
 
-#: Floats one block of :func:`stop_sets` may take in the route-cost kernel (8 MB).
+#: Floats the arrays of one row block may take at once (8 MB, :func:`_block_rows`).
 BLOCK_FLOATS = 1 << 20
 
 #: Most stop sets one guarded exhaustive search may list (:func:`check_stop_sets`).
@@ -53,7 +53,10 @@ def _integral(name: str, value, shape: tuple[int, ...] = ()):
     int array reshaped to ``shape``, an index array; ``TypeError`` naming
     ``name`` when it holds a non-integer, so a float is refused rather than
     truncated.  A budget converts by ``operator.index``; a non-empty index
-    array must have an integer dtype, which a bool one is not."""
+    array must have an integer dtype, which a bool one is not, and the
+    dimensions of ``shape`` past the first, so ``(n, 2)`` endpoints are not
+    read from a ``(4, 3)`` array; ``ValueError`` naming ``name`` otherwise.
+    An empty array passes whatever its shape."""
     if shape == ():
         try:
             return operator.index(value)
@@ -62,6 +65,9 @@ def _integral(name: str, value, shape: tuple[int, ...] = ()):
     a = np.asarray(value)
     if a.size and not np.issubdtype(a.dtype, np.integer):
         raise TypeError(f"{name} must hold integer indices, got dtype {a.dtype}")
+    if a.size and (a.ndim != len(shape) or a.shape[1:] != shape[1:]):
+        want = f"of shape (n, {shape[1]})" if len(shape) > 1 else "1-D"
+        raise ValueError(f"{name} must be {want}, got shape {a.shape}")
     return _readonly(a.astype(int, copy=False).reshape(shape))
 
 
@@ -205,8 +211,10 @@ class Instance:
     # boarding and alighting at c, (walk in + ride c->c) + walk out: the
     # single-stop target table that stop_set_costs reads as it is.  The
     # stop-pair route table (_pair_table) is built on first use instead and
-    # kept for the instance's life: C(m, 2) * n * 8 bytes.  It is read as it
-    # is: the walk (_d_ab) is capped in only where a cost is reported.
+    # kept for the instance's life: C(m, 2) * n * 8 bytes.  Every stop set of
+    # two or more stops costs the minimum of its rows there, so these two
+    # tables are every search target.  Both are read as they are: the walk
+    # (_d_ab) is capped in only where a cost is reported.
     # _priced is the verifiers' one-entry memo, (stops, costs): the placement
     # fairness._costs last priced and its read-only (n,) solution_costs row,
     # written only after a pricing succeeds, so every verifier call on one
@@ -257,15 +265,14 @@ class Instance:
     @functools.cached_property
     def _pair_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Every unordered stop pair in lexicographic order, ``(C(m, 2), 2)``,
-        and its :func:`route_costs` table, ``(C(m, 2), n)``, both read-only:
-        the one size-2 table the sweeps and verifiers read.  Built on first
-        use into arrays allocated once, one :func:`stop_sets` block at a
+        and its :func:`_pair_rows` table, ``(C(m, 2), n)``, both read-only:
+        the one pair table the sweeps and verifiers read.  Built on first use
+        into an array allocated once, one :func:`_row_blocks` block at a
         time, so the build holds the table and one block's routes."""
-        total, start = math.comb(self.m, 2), 0
-        pairs, routes = np.empty((total, 2), dtype=int), np.empty((total, self.n))
-        for block in stop_sets(self.m, 2, self.n):
-            rows = slice(start, start := start + len(block))
-            pairs[rows], routes[rows] = block, route_costs(self, block)
+        a, b = np.triu_indices(self.m, 1)
+        pairs, routes = np.stack([a, b], axis=1), np.empty((len(a), self.n))
+        for rows in _row_blocks(routes):
+            routes[rows] = _pair_rows(self, a[rows], b[rows])
         pairs.flags.writeable = routes.flags.writeable = False
         return pairs, routes
 
@@ -404,53 +411,54 @@ def agent_cost(instance: Instance, agent_index: int, solution) -> float:
 
 def solution_costs(instance: Instance, solution) -> np.ndarray:
     """Vector of :func:`agent_cost` over all agents: :func:`route_costs` capped
-    by the direct walk.  Takes the same placements or unit arrays."""
+    by the direct walk.  Takes one placement, as :func:`route_costs` does."""
     return np.minimum(instance._d_ab, route_costs(instance, solution))
 
 
 def route_costs(instance: Instance, solution) -> np.ndarray:
     """Per-agent cost of the best stop route only, ignoring the direct walk.
 
-    ``solution`` is one placement, giving one cost per agent, or a 2-D
-    integer array of units (one equal-size stop set per row), giving a
-    ``(units, agents)`` table.  A placement is evaluated as a one-row unit
-    array, so its vector is the table's row bit for bit.  Infinite for every
-    agent when the placement is empty.  This is the service level a
-    placement itself provides; :func:`solution_costs` caps it by the walk.
-    Every cost reads this function, so its one range check covers them all:
-    a stop index outside ``[0, m)`` raises ``ValueError`` naming it.
+    ``solution`` is one placement (a :class:`Solution` or an iterable of
+    stop indices; a 2-D array raises ``TypeError``), giving one cost per
+    agent: infinite for every agent when it is empty, a stop's row of
+    ``_d_cc`` for one stop, and for more the minimum of its stop pairs'
+    :func:`_pair_rows`, so it is bit for bit its row in every table the
+    searches read.  This is the service level a placement itself provides;
+    :func:`solution_costs` caps it by the walk.  Every placement's cost reads
+    this function, so its one range check covers them all: a stop index
+    outside ``[0, m)`` raises ``ValueError`` naming it.
     """
-    table = isinstance(solution, np.ndarray) and solution.ndim == 2
-    units = solution if table else np.array([as_stops(solution)], dtype=int)
-    if units.size:
-        lo, hi = units.min(), units.max()
-        if lo < 0 or hi >= instance.m:
-            raise ValueError(f"stop index {lo if lo < 0 else hi} out of range [0, {instance.m})")
-    # Shapes below are stops first: (stops, units, agents), so each minimum
-    # over the leading axis is the (units, agents) table.  Every route sums
-    # (walk in + ride) + walk out.  A route boarding and alighting at one
-    # stop is read from _d_cc, so only the s(s-1) ordered routes between two
-    # distinct stops of a unit are formed here.  An empty stop set leaves
-    # each minimum at its initial INF.
-    u, d_ca, d_cb = units.T, instance._d_ca, instance._d_cb
+    stops = as_stops(solution)
+    if stops and not 0 <= stops[0] <= stops[-1] < instance.m:
+        bad = stops[0] if stops[0] < 0 else stops[-1]
+        raise ValueError(f"stop index {bad} out of range [0, {instance.m})")
+    if len(stops) < 2:
+        return instance._d_cc[list(stops)].min(axis=0, initial=INF)
+    return _pair_rows(instance, *np.array(stops)[_set_pairs(len(stops))]).min(axis=0)
+
+
+def _pair_rows(instance: Instance, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Route costs of the stop pairs ``(a[p], b[p])``, ``(pairs, agents)``:
+    the cheaper of boarding and alighting at either stop (``_d_cc``) and the
+    two rides between them, each summed ``(walk in + ride) + walk out``.
+    Under null transit every route of the pair is a walk in plus a walk out,
+    so its cheapest is ``min(d_ca) + min(d_cb)``; float addition is monotone,
+    so that sum is the least of the four, bit for bit."""
+    d_ca, d_cb = instance._d_ca, instance._d_cb
     if instance.null_transit:
-        best = d_ca[u].min(axis=0, initial=INF) + d_cb[u].min(axis=0, initial=INF)
-    else:
-        best = instance._d_cc[u].min(axis=0, initial=INF)
-        if len(u) > 1:
-            j, l = _off_diagonal(len(u))
-            routes = d_ca[u[j]]
-            routes += instance.transit.dist[u[j], u[l]][..., None]
-            routes += d_cb[u[l]]
-            np.minimum(best, routes.min(axis=0), out=best)
-    return best if table else best[0]
+        return np.minimum(d_ca[a], d_ca[b]) + np.minimum(d_cb[a], d_cb[b])
+    best = np.minimum(instance._d_cc[a], instance._d_cc[b])
+    for j, l in ((a, b), (b, a)):
+        np.minimum(best, d_ca[j] + instance.transit.dist[j, l][:, None] + d_cb[l], out=best)
+    return best
 
 
 @functools.cache
-def _off_diagonal(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays ``(j, l)`` of every ordered pair ``j != l`` below ``size``,
-    read-only since every caller shares them."""
-    return tuple(map(_readonly, np.nonzero(~np.eye(size, dtype=bool))))
+def _set_pairs(size: int) -> np.ndarray:
+    """Every pair of positions ``[i, j]``, ``i < j < size``, in a set of
+    ``size`` stops, in lexicographic order, as one read-only
+    ``(2, C(size, 2))`` index array, since every caller shares it."""
+    return _readonly(np.triu_indices(size, 1))
 
 
 def total_cost(instance: Instance, solution) -> float:
@@ -460,54 +468,64 @@ def total_cost(instance: Instance, solution) -> float:
 
 def stop_sets(m: int, size: int, n: int):
     """Every ``size``-subset of the ``m`` candidates, in lexicographic order,
-    as ``(sets, size)`` index arrays in blocks whose :func:`route_costs` peak
-    for ``n`` agents stays within :data:`BLOCK_FLOATS`.  A set takes
-    ``n * (2 * size * (size - 1) + 1)`` floats there under a transit metric
-    (the off-diagonal routes, one walk-out gather and the table row) and
-    ``n * (size + 2)`` under null transit (one walk gather beside two
-    minima); a block is sized by the larger."""
-    per_block = _block_rows(size, n)
-    combos = itertools.combinations(range(m), size)
-    total = math.comb(m, size)
+    as ``(sets, size)`` index arrays in blocks of :func:`_block_rows` sets,
+    so the cost table of a block for ``n`` agents is one row block."""
+    per_block = _block_rows(n)
+    combos, total = itertools.combinations(range(m), size), math.comb(m, size)
     for start in range(0, total, per_block):
         rows = min(per_block, total - start)
         flat = itertools.chain.from_iterable(itertools.islice(combos, rows))
         yield np.fromiter(flat, dtype=int, count=rows * size).reshape(rows, size)
 
 
-def _block_rows(size: int, n: int) -> int:
-    """Stop sets in one :func:`stop_sets` block of ``size``-sets for ``n`` agents."""
-    return max(1, BLOCK_FLOATS // max(1, n * max(2 * size * (size - 1) + 1, size + 2)))
+def _block_rows(n: int) -> int:
+    """Rows of ``n`` floats in one row block: a fifth of :data:`BLOCK_FLOATS`,
+    since the most a step holds at once is four arrays of a block's shape
+    (:func:`_pair_rows` under null transit: one minimum held while two
+    gathers form the other) beside what its caller keeps."""
+    return max(1, BLOCK_FLOATS // max(1, 5 * n))
 
 
 def _row_blocks(table: np.ndarray):
-    """Slices of ``table``'s rows, one :func:`stop_sets` pair block of its
-    width each, so a table that is only read is never copied whole."""
-    step = _block_rows(2, table.shape[1])
+    """Slices of ``table``'s rows, one :func:`_block_rows` block of its width
+    each, so a table that is only read is never copied whole."""
+    step = _block_rows(table.shape[1])
     return (slice(start, start + step) for start in range(0, len(table), step))
 
 
 def stop_set_costs(instance: Instance, sizes):
     """Every subset of the candidates of each of ``sizes``, in size and then
-    lexicographic order, as :func:`stop_sets` blocks ``(sets, routes)`` with
-    their :func:`route_costs` tables, after :func:`check_stop_sets` on all
-    ``sizes``.  Single-stop blocks are row views of ``_d_cc`` and pair blocks
-    of the cached pair table, each bit for bit the :func:`route_costs` of
-    its sets (``_d_cc`` holds ``d_ca + d_cb`` under null transit, since
-    ``d_ca`` holds no -0.0), so only other sizes reach the kernel.  Targets
-    are route costs, and the walk is capped only where a cost is reported:
-    as ``cy <= walk``, a ratio ``cy / route`` above 1 is the same float
-    capped, and one at most 1 stays so."""
-    check_stop_sets(instance.m, sizes)
+    lexicographic order, as blocks ``(sets, routes)`` with the sets'
+    :func:`route_costs` rows, after :func:`check_stop_sets` on all ``sizes``.
+    Each row is read from the instance's tables, bit for bit the
+    :func:`route_costs` of its set: the empty set is one INF row, single-stop
+    blocks are row views of ``_d_cc`` and pair blocks of the cached pair
+    table, and a set of three or more stops is the elementwise minimum of
+    its pairs' rows there (``min`` is exact), one :func:`stop_sets` block at
+    a time.  Targets are route costs, and the walk is capped only where a
+    cost is reported: as ``cy <= walk``, a ratio ``cy / route`` above 1 is
+    the same float capped, and one at most 1 stays so."""
+    check_stop_sets(m := instance.m, sizes)
     for size in sizes:
-        if size in (1, 2):
-            sets, routes = ((np.arange(instance.m)[:, None], instance._d_cc) if size == 1
-                            else instance._pair_table)
+        if size < 3:
+            sets, routes = (instance._pair_table if size == 2 else
+                            (np.arange(m)[:, None], instance._d_cc) if size == 1 else
+                            (np.empty((1, 0), dtype=int), np.full((1, instance.n), INF)))
             for rows in _row_blocks(routes):
                 yield sets[rows], routes[rows]
         else:
-            for sets in stop_sets(instance.m, size, instance.n):
-                yield sets, route_costs(instance, sets)
+            pairs, routes = _set_pairs(size), instance._pair_table[1]
+            for sets in stop_sets(m, size, instance.n):
+                # Pair (a, b), a < b, is row a(2m - a - 3)/2 + b - 1 of the
+                # table; rows[q] holds pair q of every set in the block.
+                a, b = sets.T[pairs]
+                rows = a * (2 * m - a - 3) // 2 + b - 1
+                costs, buf = routes[rows[0]], np.empty((len(sets), instance.n))
+                # Every row is in range; "clip" lets take() fill buf directly,
+                # where the default mode would gather into a copy first.
+                for col in rows[1:]:
+                    np.minimum(costs, routes.take(col, axis=0, out=buf, mode="clip"), out=costs)
+                yield sets, costs
 
 
 def check_stop_sets(m: int, sizes) -> None:

@@ -122,6 +122,20 @@ def walk_bound_breaker() -> fs.Instance:
     )
 
 
+def adversarial_instance() -> fs.Instance:
+    """``random_euclidean(12, 6, 3, 5, "random")`` with every route sum
+    exposed: rides made asymmetric with a nonzero diagonal, one ride INF and
+    two -0.0 (one of them a stop's own), and every direct walk cut, so no
+    route hides under the walk cap."""
+    base = fs.random_euclidean(12, 6, 3, 5, transit="random")
+    ride = base.transit.dist + np.random.default_rng(5).uniform(0.0, 0.3, (base.m, base.m))
+    ride[0, 1], ride[2, 4], ride[3, 3] = np.inf, -0.0, -0.0
+    walk = base.walk.dist.copy()
+    walk[tuple(base.endpoints.T)] = walk[tuple(base.endpoints.T[::-1])] = np.inf
+    return fs.Instance(endpoints=base.endpoints, candidates=base.candidates,
+                       walk=fs.Metric(walk), transit=fs.Metric(ride), k=base.k)
+
+
 def family_instances():
     """Every named family at default parameters, clustering families embedded,
     plus the tight families at the parameters the acceptance tests use."""

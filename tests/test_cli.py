@@ -496,6 +496,30 @@ def test_experiment_rows_sorted_and_mincost(tmp_path, capsys):
             assert opt[int(row["seed"])] <= float(row["total_cost"]) + 1e-9
 
 
+def test_experiment_prices_each_row_once(tmp_path, capsys, monkeypatch):
+    # A row's total cost is the verifiers' shared row, so JR, the core and
+    # PF price its placement no more: one pricing per row, each row being
+    # its own instance here (a seed and a budget).
+    calls, real = [], fs.model.solution_costs
+
+    def counted(instance, solution):
+        calls.append(fs.model.as_stops(solution))
+        return real(instance, solution)
+
+    for module in (cli, fs.fairness, fs.model):
+        monkeypatch.setattr(module, "solution_costs", counted)
+    out = tmp_path / "p.csv"
+    code, _, _ = run_cli(capsys, "experiment", "--out", str(out), "--rounds", "3", "--n", "12",
+                         "--m", "6", "--k", "2,3", "--transit", "random", "--algs", "eca",
+                         "--checks", "jr,core,pf")
+    assert code == 0
+    with open(out) as fh:
+        fh.readline()
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 6 and len(calls) == 6
+    assert all(row["jr_factor"] and row["core_factor"] and row["pf_factor"] for row in rows)
+
+
 def test_experiment_family_source(tmp_path, capsys):
     out = tmp_path / "fam.csv"
     code, _, _ = run_cli(

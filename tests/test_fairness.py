@@ -504,33 +504,39 @@ def test_the_least_gain_is_reached_by_every_gain():
 
 
 def test_verifiers_run_the_kernel_on_the_placement_only(monkeypatch):
-    # Single-stop and pair targets are views of the instance's tables, and a
-    # placement is priced once per instance: with the pair table built, JR
-    # and a core whose targets hold at most two stops call route_costs once
-    # over the whole sequence, for the placement, and never on a block.
+    # Every target is read from the instance's tables, and a placement is
+    # priced once per instance: with the pair table built, JR and a core
+    # whose targets hold one to four stops call route_costs once over the
+    # whole sequence, for the placement, and exact_min_cost never does.
     inst = fs.random_euclidean(30, 8, 4, 3, transit="random")
     sol = fs.eca(inst)[0]
     other = (0, 1) if sol.stops != (0, 1) else (0, 2)
-    assert "_pair_table" in vars(inst)  # eca built it, the kernel's one pass over pairs
+    assert "_pair_table" in vars(inst)  # eca built it
     calls, original = [], fs.model.route_costs
 
     def counted(instance, solution):
-        calls.append(isinstance(solution, np.ndarray) and solution.ndim == 2)
+        calls.append(fs.model.as_stops(solution))
         return original(instance, solution)
 
     def check(placement):
         fs.jr_ratio(inst, placement)
         fs.jr_violation(inst, placement)
         fs.core_ratio(inst, placement, 2)
+        fs.core_ratio(inst, placement, 1)  # targets of 1 to 4 stops at k = 4
 
     monkeypatch.setattr(fs.model, "route_costs", counted)
     monkeypatch.setattr(fs.fairness, "route_costs", counted)
     check(sol)
-    assert calls == [False]
+    assert calls == [sol.stops]
     check(other)  # a second placement is priced once more
-    assert calls == [False] * 2
+    assert calls == [sol.stops, other]
     check(sol)  # and so is a return to the first: the memo holds one entry
-    assert calls == [False] * 3
+    assert calls == [sol.stops, other, sol.stops]
+    calls.clear()
+    fs.exact_min_cost(inst)
+    assert calls == []
+    with pytest.raises(TypeError):
+        original(inst, np.array([[0, 1], [0, 2]]))
 
 
 def all_verifiers(inst, stops):

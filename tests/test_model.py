@@ -3,6 +3,7 @@
 import concurrent.futures
 import copy
 import dataclasses
+import functools
 import itertools
 import math
 import pickle
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import fairstops as fs
-from conftest import family_instances, walk_bound_breaker
+from conftest import adversarial_instance, family_instances, walk_bound_breaker
 from fairstops import model
 from oracles import exact_min_cost_loop, naive_agent_cost
 
@@ -203,15 +204,13 @@ def test_route_costs_cap_relationship(corpus):
 
 
 def test_unit_tables_equal_per_placement_vectors(corpus, corpus_random_transit):
-    # The sweeps read pair costs from one table; each row must be the
-    # per-placement vector bit for bit, so traces cannot drift.
+    # The sweeps read pair costs from one table and the searches read sets
+    # of three from its rows; each row must be the per-placement vector bit
+    # for bit, so traces and reports cannot drift.
     for inst in corpus[:10] + corpus_random_transit[:10]:
-        for size in (2, 3):
-            units = np.array(list(itertools.combinations(range(inst.m), size)), dtype=int)
-            units = units.reshape(-1, size)
-            route = fs.route_costs(inst, units)
-            capped = fs.solution_costs(inst, units)
-            assert route.shape == capped.shape == (len(units), inst.n)
+        for units, route in [inst._pair_table, *model.stop_set_costs(inst, [3])]:
+            capped = np.minimum(inst._d_ab, route)
+            assert route.shape == (len(units), inst.n)
             for unit, row, capped_row in zip(units, route, capped):
                 assert row.tobytes() == fs.route_costs(inst, tuple(unit)).tobytes()
                 assert capped_row.tobytes() == fs.solution_costs(inst, tuple(unit)).tobytes()
@@ -219,27 +218,48 @@ def test_unit_tables_equal_per_placement_vectors(corpus, corpus_random_transit):
 
 def test_costs_bit_exact_against_loop_oracle(corpus, corpus_random_transit):
     # The loop oracle adds (walk in + ride) + walk out and takes the minimum
-    # with the walk, so equal bits pin the kernel's sum order.
+    # with the walk, so equal bits pin every table's sum order.  The
+    # adversarial instance reads each stop's own ride c -> c and each
+    # direction of a pair, with no route hidden under the walk cap.
     cases = corpus[:20] + corpus_random_transit[:20] + [inst for _, inst in family_instances()]
-    # A transit with a nonzero diagonal and asymmetric rides: the kernel
-    # reads each stop's own ride c -> c, and each direction of a pair.  The
-    # direct walks are cut, so no route hides under the walk cap.
-    base = fs.random_euclidean(12, 6, 3, 5, transit="random")
-    ride = base.transit.dist + np.random.default_rng(5).uniform(0.0, 0.3, (base.m, base.m))
-    walk = base.walk.dist.copy()
-    walk[tuple(base.endpoints.T)] = walk[tuple(base.endpoints.T[::-1])] = INF
-    cases.append(fs.Instance(endpoints=base.endpoints, candidates=base.candidates,
-                             walk=fs.Metric(walk), transit=fs.Metric(ride), k=base.k))
+    cases.append(adversarial_instance())
     for inst in cases:
         placements = [(), tuple(range(0, inst.m, 2)), tuple(range(inst.m))]
         tables = [(placement, fs.solution_costs(inst, placement)) for placement in placements]
-        for size in (2, 3):
-            units = np.array(list(itertools.combinations(range(inst.m), size)), dtype=int)
-            tables += zip(units.reshape(-1, size).tolist(), fs.solution_costs(inst, units))
+        for sets, routes in model.stop_set_costs(inst, (2, 3)):
+            tables += zip(sets.tolist(), np.minimum(inst._d_ab, routes))
         for stops, costs in tables:
             assert [c.hex() for c in costs.tolist()] == [
                 naive_agent_cost(inst, i, stops).hex() for i in range(inst.n)
             ], stops
+
+
+def test_stop_set_rows_are_route_costs_bit_for_bit(monkeypatch):
+    # Every target row is read from _d_cc or the pair table: the empty set's
+    # INF row, a stop's own row, or the minimum of a set's pair rows.  Each
+    # must be route_costs of its set byte for byte, and capped by the walk
+    # the loop oracle hex for hex, under every transit mode, on rides with
+    # INF, -0.0, a nonzero diagonal and asymmetry, and on a broken walk
+    # bound.  Blocks of 200 floats split every size into several blocks.
+    monkeypatch.setattr(model, "BLOCK_FLOATS", 200)
+    cases = [fs.random_euclidean(9, 7, 3, seed, transit)
+             for transit in ("null", "random", "scaled") for seed in (0, 1)]
+    base = cases[0]
+    signed = np.full((base.m, base.m), -0.0)  # null transit, every ride -0.0
+    cases += [adversarial_instance(), walk_bound_breaker(),
+              fs.Instance(base.endpoints, base.candidates, base.walk, fs.Metric(signed), base.k)]
+    for inst in cases:
+        step = model._block_rows(inst.n)
+        for size in range(7):
+            blocks = list(model.stop_set_costs(inst, [size]))
+            assert len(blocks) == -(-math.comb(inst.m, size) // step), (size, len(blocks))
+            for sets, routes in blocks:
+                assert routes.shape == (len(sets), inst.n) and sets.shape[1] == size
+                for stops, row in zip(sets.tolist(), routes):
+                    assert row.tobytes() == fs.route_costs(inst, stops).tobytes(), stops
+                    assert [c.hex() for c in np.minimum(inst._d_ab, row).tolist()] == [
+                        naive_agent_cost(inst, i, stops).hex() for i in range(inst.n)
+                    ], stops
 
 
 def test_out_of_range_stops_raise():
@@ -257,19 +277,19 @@ def test_out_of_range_stops_raise():
 
 
 def test_route_cost_block_stays_near_budget():
-    # stop_sets sizes a block by what the kernel holds at once under a
-    # transit metric: the off-diagonal routes, one walk-out gather and the
-    # (units, agents) result, so a block peaks near BLOCK_FLOATS floats.
+    # A block of sets of three or four stops gathers its pairs' rows from
+    # the cached table into its (sets, agents) costs and one buffer, so it
+    # peaks near BLOCK_FLOATS floats beyond that table.
     inst = fs.random_euclidean(1000, 60, 8, 0, transit="random")
-    for size in (2, 3):
-        block = next(model.stop_sets(inst.m, size, inst.n))
+    inst._pair_table
+    for size in (3, 4):
         tracemalloc.start()
         try:
-            fs.route_costs(inst, block)
+            sets, _ = next(model.stop_set_costs(inst, [size]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * model.BLOCK_FLOATS * 8, (size, len(block), peak)
+        assert peak <= 1.25 * model.BLOCK_FLOATS * 8, (size, len(sets), peak)
 
 
 def test_pair_table_holds_the_table_once():
@@ -281,18 +301,18 @@ def test_pair_table_holds_the_table_once():
     finally:
         tracemalloc.stop()
     assert peak <= table.nbytes + 1.25 * model.BLOCK_FLOATS * 8, (table.nbytes, peak)
-    blocks = list(model.stop_sets(inst.m, 2, inst.n))
-    assert sets.tobytes() == np.concatenate(blocks).tobytes()
-    assert table.tobytes() == np.concatenate([fs.route_costs(inst, b) for b in blocks]).tobytes()
+    pairs = list(itertools.combinations(range(inst.m), 2))
+    assert sets.shape == (len(pairs), 2) and sets.tobytes() == np.array(pairs).tobytes()
+    assert table.tobytes() == np.stack([fs.route_costs(inst, pair) for pair in pairs]).tobytes()
     lone = fs.Instance([(0, 1)], [0], fs.Metric([[0, 1], [1, 0]]), fs.Metric([[0]]), 1)
     sets, table = lone._pair_table
     assert sets.shape == (0, 2) and table.shape == (0, 1)
 
 
 def test_single_stop_blocks_are_views_of_the_stop_route_table(monkeypatch):
-    # Single stops are read from _d_cc as it is, one pair-width row block at
-    # a time (four rows at 200 floats and 9 agents), and each block is bit
-    # for bit the kernel's one-stop routes under every transit mode.
+    # Single stops are read from _d_cc as it is, one row block at a time
+    # (four rows at 200 floats and 9 agents), and each block is bit for bit
+    # route_costs of its stops under every transit mode.
     monkeypatch.setattr(model, "BLOCK_FLOATS", 200)
     for transit in ("null", "random", "scaled"):
         inst = fs.random_euclidean(9, 7, 3, 5, transit=transit)
@@ -304,7 +324,8 @@ def test_single_stop_blocks_are_views_of_the_stop_route_table(monkeypatch):
         sets = np.concatenate([sets for sets, _ in blocks])
         routes = np.concatenate([routes for _, routes in blocks])
         assert sets.shape == units.shape and sets.tobytes() == units.tobytes()
-        assert routes.tobytes() == fs.route_costs(inst, units).tobytes(), transit
+        expected = np.stack([fs.route_costs(inst, (stop,)) for stop in range(inst.m)])
+        assert routes.tobytes() == expected.tobytes(), transit
         (sol, cost), (want, want_cost) = fs.exact_min_cost(inst), exact_min_cost_loop(inst)
         assert sol == want and cost.hex() == want_cost.hex(), transit
 
@@ -354,16 +375,16 @@ def test_one_set_blocks_change_nothing(corpus, corpus_random_transit, monkeypatc
 
 
 def count_pair_tables(monkeypatch) -> list[int]:
-    """Patch ``model.stop_sets`` to record every listing of stop pairs, the
-    one way a pair table is built."""
-    built, original = [], model.stop_sets
+    """Wrap the pair table's builder to record the ``m`` of every build."""
+    built, build = [], model.Instance._pair_table.func
 
-    def counted(m, size, n):
-        if size == 2:
-            built.append(m)
-        return original(m, size, n)
+    def counted(instance):
+        built.append(instance.m)
+        return build(instance)
 
-    monkeypatch.setattr(model, "stop_sets", counted)
+    table = functools.cached_property(counted)
+    table.__set_name__(model.Instance, "_pair_table")
+    monkeypatch.setattr(model.Instance, "_pair_table", table)
     return built
 
 
@@ -387,7 +408,7 @@ def test_pair_table_is_built_once_and_shared(monkeypatch):
             table[0, 0] = 0
     expected = np.array(list(itertools.combinations(range(inst.m), 2)))
     assert pairs.tobytes() == expected.tobytes() and pairs.shape == expected.shape
-    expected = fs.route_costs(inst, expected)
+    expected = np.stack([fs.route_costs(inst, tuple(pair)) for pair in expected])
     assert routes.tobytes() == expected.tobytes() and routes.shape == expected.shape
 
 
@@ -432,8 +453,8 @@ def test_eca_sweeps_the_cached_table_as_it_is():
 
 
 def test_warm_sweeps_hold_one_row_block_beside_the_cached_tables():
-    # A sweep partitions the cached pair and clustering tables one stop_sets
-    # pair block of rows at a time (1.59 MiB here); a whole copy of the pair
+    # A sweep partitions the cached pair and clustering tables one row block
+    # at a time (1.59 MiB here); a whole copy of the pair
     # table, 13.5 MiB, was eca's peak before.
     inst = fs.random_euclidean(1000, 60, 8, 0, "random")
     for sweep in (fs.eca, lambda x: fs.hybrid(x, 0.5)):
@@ -460,7 +481,7 @@ def test_verifiers_hold_one_block_beside_the_cached_table():
     assert cold <= 48.3 * 2**20, cold
     # At alpha 4 the core lists single stops and pairs only, the pairs from
     # the cached table; alpha 2 would add 0.5 M sets of three and four stops,
-    # which read no pair table, for about 40 s.
+    # each the minimum of its pairs' rows, for about 5 s.
     peaks = []
     for check in (lambda: fs.jr_ratio(inst, sol), lambda: fs.jr_violation(inst, sol),
                   lambda: fs.core_ratio(inst, sol, 4)):
@@ -691,6 +712,31 @@ def test_constructors_refuse_non_integer_indices_and_budgets():
     empty = fs.Instance(endpoints=np.empty((0, 2)), candidates=base.candidates,
                         walk=base.walk, transit=base.transit, k=2)
     assert empty.endpoints.shape == (0, 2) and empty.endpoints.dtype == int
+
+
+def test_constructors_refuse_misshaped_index_arrays():
+    # A misshaped index array used to be reshaped: (4, 3) endpoints built
+    # six agents, (2, 2, 2) four, and (3, 1) candidates or (2, 4)
+    # datapoints were flattened.
+    base = fs.random_euclidean(3, 3, 2, 0)
+    fields = dict(endpoints=base.endpoints, candidates=base.candidates, k=base.k)
+    for name, bad, shape in (("endpoints", np.zeros((4, 3), dtype=int), "of shape (n, 2)"),
+                             ("endpoints", np.zeros((2, 2, 2), dtype=int), "of shape (n, 2)"),
+                             ("endpoints", np.zeros(6, dtype=int), "of shape (n, 2)"),
+                             ("candidates", base.candidates[:, None], "1-D")):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be {shape}, got shape "
+                                                       f"{bad.shape}")):
+            fs.Instance(walk=base.walk, transit=base.transit, **{**fields, name: bad})
+    for name, bad in (("datapoints", np.zeros((2, 4), dtype=int)),
+                      ("centers", np.zeros((1, 1), dtype=int))):
+        points = {"datapoints": [0, 1], "centers": [2], name: bad}
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be 1-D, got shape "
+                                                       f"{bad.shape}")):
+            fs.ClusteringInstance(dist=base.walk, k=1, **points)
+    # Empty arrays pass whatever their shape.
+    for endpoints in (np.empty((0, 2), dtype=int), [], np.empty((0, 3), dtype=int)):
+        assert fs.Instance(endpoints, base.candidates, base.walk, base.transit, 2).n == 0
+    assert fs.ClusteringInstance(np.empty((0, 2), dtype=int), [2], base.walk, 1).n == 0
 
 
 def test_clustering_to_trsp_structure():
