@@ -35,6 +35,7 @@ from .instances import (
     random_euclidean,
     read_instance,
     write_instance,
+    write_json,
 )
 from .model import (
     EnumerationGuardError,
@@ -117,9 +118,7 @@ def _cmd_gen(args) -> int:
             "k": built.k,
             "ell": built.ell,
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        write_json(doc, args.out)
         print(f"wrote {args.out}: line instance n={built.n} m={len(built.centers)} k={built.k}")
     return 0
 
@@ -172,9 +171,7 @@ def _cmd_run(args) -> int:
             }
             for ev in trace.events
         ]
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        write_json(doc, args.trace)
         print(f"trace written to {args.trace}")
     return 0
 

@@ -51,9 +51,17 @@ def _closure(d: np.ndarray) -> np.ndarray:
 
 
 def _euclidean(pts: np.ndarray) -> np.ndarray:
-    """Euclidean distance matrix of ``(p, 2)`` points, one coordinate at a time."""
+    """Euclidean distance matrix of ``(p, 2)`` points, one coordinate at a time.
+
+    The squares are summed and rooted in place in the x offsets, so two
+    ``(p, p)`` arrays are live at the peak, not four; every entry is the
+    ``np.sqrt(dx * dx + dy * dy)`` of the offsets bit for bit.
+    """
     dx, dy = (pts[:, None, i] - pts[None, :, i] for i in (0, 1))
-    return np.sqrt(dx * dx + dy * dy)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def _instance(endpoints, candidates, walk: np.ndarray, transit: np.ndarray, k: int,
@@ -553,129 +561,154 @@ def generate(name: str, **params):
 # ---------------------------------------------------------------------------
 
 
+#: The words a file may write for an unreachable pair, read in any case; the
+#: writer writes the first, for ``+inf`` alone.
+_INF_WORDS = ("inf", "infinity", "+inf")
+
+
+def _refusal(path, field: str | None, detail: str) -> InstanceParseError:
+    """The error refusing file ``path``: ``"{path}: field '<field>'<detail>"``,
+    where ``detail`` opens with a space or a colon, or ``"{path}: <detail>"``
+    when the fault is not one field's."""
+    return InstanceParseError(f"{path}: field '{field}'{detail}" if field else f"{path}: {detail}")
+
+
+def write_json(doc, path) -> None:
+    """Write ``doc`` to ``path`` as UTF-8 JSON, indented by one space, with a
+    final newline: the form of every JSON file the package writes."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+def _tri_rows(d: np.ndarray):
+    """The layout of a distance triangle in a file: the rows of ``d`` up to
+    their diagonal, ``d[i, :i + 1]`` for ``i = 0, 1, ...``, one after another."""
+    return (d[i, : i + 1] for i in range(len(d)))
+
+
 def _encode_tri(d: np.ndarray) -> list:
+    """The triangle of ``d`` as a file lists it, ``+inf`` as ``"inf"``; every
+    other value, ``-inf`` and NaN among them, is listed as it is."""
     out: list = []
-    for i in range(d.shape[0]):
-        for j in range(i + 1):
-            v = d[i, j]
-            out.append("inf" if math.isinf(v) else float(v))
+    for row in _tri_rows(d):
+        out += row.tolist()
+        for j in np.flatnonzero(row == INF) - len(row):  # counted from the end of out
+            out[j] = _INF_WORDS[0]
     return out
 
 
-#: The range of numpy's default integer, which the instance's index arrays hold.
-_INT_RANGE = np.iinfo(int)
+def _ints(path, field: str, values, shape: tuple = (), what: str = "an integer") -> np.ndarray:
+    """``values`` as an array of ``shape`` of numpy's default integer, or the
+    refusal of ``field``: a list of the wrong length or whose entries are not
+    ``what``, a value that is not a JSON integer, or one past the integer's
+    range.  The default ``shape`` reads one integer."""
+    a = np.array(values, dtype=object)  # ragged lists make a 1-D array of lists
+    if a.shape[:1] != shape[:1]:
+        raise _refusal(path, field,
+                       f" must list {shape[0]} {what}" if shape else f" must be {what}")
+    if a.shape != shape and len(a):  # an empty list stands for no entries
+        raise _refusal(path, field, f" entries must be {what}")
+    if bad := [v for v in a.flat if type(v) is not int]:
+        raise _refusal(path, field, f" must hold integers, got {bad[0]!r}")
+    try:
+        return a.astype(int)
+    except OverflowError:
+        raise _refusal(path, field, f" holds an integer beyond {np.dtype(int)}") from None
 
 
-def _int(value, fieldname: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InstanceParseError(f"field '{fieldname}' must hold integers, got {value!r}")
-    if not _INT_RANGE.min <= value <= _INT_RANGE.max:
-        raise InstanceParseError(f"field '{fieldname}' holds an integer outside "
-                                 f"[{_INT_RANGE.min}, {_INT_RANGE.max}]")
-    return value
-
-
-def _decode_tri(values, size: int, fieldname: str) -> np.ndarray:
-    expected = size * (size + 1) // 2
-    if not isinstance(values, list) or len(values) != expected:
-        raise InstanceParseError(
-            f"field '{fieldname}' must hold {expected} lower-triangular entries, "
-            f"got {len(values) if isinstance(values, list) else type(values).__name__}"
-        )
-    d = np.zeros((size, size))
-    it = iter(values)
-    for i in range(size):
-        for j in range(i + 1):
-            v = next(it)
-            if isinstance(v, str) and v.lower() in ("inf", "infinity", "+inf"):
-                x = INF
-            elif isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0:
-                try:
-                    x = float(v)  # NaN and -inf fail the test above
-                except OverflowError:
-                    raise InstanceParseError(
-                        f"field '{fieldname}': an integer entry exceeds the float range") from None
-            else:
-                raise InstanceParseError(
-                    f"field '{fieldname}': bad entry {v!r} (want a number >= 0 or \"inf\")")
-            d[i, j] = d[j, i] = x
+def _decode_tri(path, field: str, values, size: int) -> np.ndarray:
+    """The symmetric ``(size, size)`` matrix whose triangle ``values`` lists,
+    or the refusal of ``field``: every entry must be a number ``>= 0`` or one
+    of the infinity words."""
+    got = len(values) if isinstance(values, list) else type(values).__name__
+    if got != (expected := size * (size + 1) // 2):
+        raise _refusal(path, field, f" must hold {expected} lower-triangular entries, got {got}")
+    if str in (kinds := set(map(type, values))):
+        values = [INF if type(v) is str and v.lower() in _INF_WORDS else v for v in values]
+        kinds = set(map(type, values))
+    try:
+        flat = np.array(values, dtype=float) if kinds <= {int, float} else None
+    except OverflowError:
+        raise _refusal(path, field, ": an integer entry exceeds the float range") from None
+    if flat is None or not (flat >= 0).all():  # NaN and -inf fail the test too
+        bad = next(v for v in values if type(v) not in (int, float) or not v >= 0)
+        raise _refusal(path, field, f": bad entry {bad!r} (want a number >= 0 or \"inf\")")
+    d = np.empty((size, size))
+    start = 0
+    for row, col in zip(_tri_rows(d), _tri_rows(d.T)):
+        row[:] = col[:] = flat[start : start + len(row)]
+        start += len(row)
     return d
 
 
 def write_instance(instance: Instance, path) -> None:
     """Write an instance as UTF-8 JSON with canonical key order.
 
-    Lower-triangular row-major distance arrays; infinities encoded as the
-    string ``"inf"``.  Candidate labels, when present, ride along in an
-    optional ``labels`` field.
+    Distances are listed as lower triangles, row by row.  ``+inf`` is written
+    as the string ``"inf"``; every other value is written as it is, so a
+    ``-inf``, NaN or negative distance reaches the file and
+    :func:`read_instance` refuses it.  Candidate labels, when present, ride
+    along in an optional ``labels`` field.
     """
     doc = {
         "n": instance.n,
         "m": instance.m,
         "k": instance.k,
         "points": instance.walk.size,
-        "endpoints": [[int(a), int(b)] for a, b in instance.endpoints],
-        "candidates": [int(c) for c in instance.candidates],
+        "endpoints": instance.endpoints.tolist(),
+        "candidates": instance.candidates.tolist(),
         "walk": _encode_tri(instance.walk.dist),
         "transit": _encode_tri(instance.transit.dist),
     }
     if instance.candidate_labels is not None:
         doc["labels"] = list(instance.candidate_labels)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def read_instance(path) -> Instance:
     """Read an instance file written by :func:`write_instance` (any key order).
 
-    Every distance entry must be a number >= 0 or ``"inf"``, the structure
-    must show no :func:`~fairstops.model.structure_problems` (budget, index
-    ranges), and the walk must meet :func:`~fairstops.model.walk_bound_problem`'s
-    bound (O(n * m)); the other metric axioms cost O(p^3) and are left to
-    :func:`validate_instance`.
+    ``n``, ``m``, ``k`` and ``points`` must be integers, the counts ``>= 0``;
+    ``endpoints`` must list ``n`` pairs and ``candidates`` ``m`` indices, all
+    integers within numpy's default integer; ``labels``, if present, must
+    list ``m`` strings.  Every distance entry must be a number ``>= 0`` or an
+    infinity word (``"inf"``, ``"infinity"`` or ``"+inf"``, in any case), so
+    ``-inf``, NaN and negative distances are refused.  The structure must
+    show no :func:`~fairstops.model.structure_problems` (budget, index
+    ranges), and the walk must meet
+    :func:`~fairstops.model.walk_bound_problem`'s bound (O(n * m)); the other
+    metric axioms cost O(p^3) and are left to :func:`validate_instance`.
+    Every refusal is an :class:`InstanceParseError` whose message opens with
+    the path, and with ``field '<name>'`` when one field is at fault.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise InstanceParseError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+        raise _refusal(path, None, f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
+                       f"{exc.msg}") from exc
     except ValueError as exc:  # bytes that are not UTF-8, or an integer past the digit limit
-        raise InstanceParseError(f"{path}: unreadable JSON: {exc}") from exc
+        raise _refusal(path, None, f"unreadable JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise InstanceParseError(f"{path}: top level must be an object")
-    for fieldname in ("n", "m", "k", "points", "endpoints", "candidates", "walk", "transit"):
-        if fieldname not in doc:
-            raise InstanceParseError(f"{path}: missing field '{fieldname}'")
-    n, m, k, p = (_int(doc[key], key) for key in ("n", "m", "k", "points"))
-    for fieldname, count in (("n", n), ("m", m), ("points", p)):
+        raise _refusal(path, None, "top level must be an object")
+    for key in ("n", "m", "k", "points", "endpoints", "candidates", "walk", "transit"):
+        if key not in doc:
+            raise _refusal(path, key, " is missing")
+    n, m, k, p = (int(_ints(path, key, doc[key])) for key in ("n", "m", "k", "points"))
+    for key, count in (("n", n), ("m", m), ("points", p)):
         if count < 0:
-            raise InstanceParseError(f"{path}: field '{fieldname}' must be >= 0, got {count}")
-    endpoints = doc["endpoints"]
-    if not isinstance(endpoints, list) or len(endpoints) != n:
-        raise InstanceParseError(f"{path}: field 'endpoints' must list {n} pairs")
-    for row in endpoints:
-        if not isinstance(row, list) or len(row) != 2:
-            raise InstanceParseError(f"{path}: field 'endpoints' entries must be pairs")
-        for v in row:
-            _int(v, "endpoints")
-    candidates = doc["candidates"]
-    if not isinstance(candidates, list) or len(candidates) != m:
-        raise InstanceParseError(f"{path}: field 'candidates' must list {m} indices")
-    for c in candidates:
-        _int(c, "candidates")
-    walk = _decode_tri(doc["walk"], p, "walk")
-    transit = _decode_tri(doc["transit"], m, "transit")
+            raise _refusal(path, key, f" must be >= 0, got {count}")
+    endpoints = _ints(path, "endpoints", doc["endpoints"], (n, 2), "pairs")
+    candidates = _ints(path, "candidates", doc["candidates"], (m,), "indices")
+    walk = _decode_tri(path, "walk", doc["walk"], p)
+    transit = _decode_tri(path, "transit", doc["transit"], m)
     labels = doc.get("labels")
-    if labels is not None:
-        if not isinstance(labels, list) or len(labels) != m:
-            raise InstanceParseError(f"{path}: field 'labels' must list {m} names")
-        labels = tuple(str(s) for s in labels)
+    if labels is not None and (not isinstance(labels, list) or [*map(type, labels)] != [str] * m):
+        raise _refusal(path, "labels", f" must list {m} names")
     instance = _instance(endpoints, candidates, walk, transit, k, labels)
     if problems := structure_problems(instance):
-        raise InstanceParseError(f"{path}: " + "; ".join(problems))
+        raise _refusal(path, None, "; ".join(problems))
     if problem := walk_bound_problem(instance):
-        raise InstanceParseError(f"{path}: field 'walk': {problem}")
+        raise _refusal(path, "walk", f": {problem}")
     return instance

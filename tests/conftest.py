@@ -90,6 +90,9 @@ BAD_FIELD_VALUES = [
     pytest.param("candidates", 0, -2**63 - 1, id="candidates-past-int64"),
     pytest.param("walk", 1, 10**400, id="walk-past-float"),
     pytest.param("transit", 1, 10**400, id="transit-past-float"),
+    pytest.param("labels", None, [1, "b", "c", "d"], id="labels-int"),
+    pytest.param("labels", None, ["a", None, "c", "d"], id="labels-null"),
+    pytest.param("labels", None, ["a", "b", ["c"], "d"], id="labels-list"),
 ]
 
 

@@ -3,12 +3,16 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fairstops as fs
-from conftest import BAD_FIELD_VALUES, walk_bound_breaker, write_bad_field_value
+from conftest import (BAD_FIELD_VALUES, family_instances, walk_bound_breaker,
+                      write_bad_field_value)
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -424,8 +428,9 @@ def test_wrong_triangle_length_reports_field(tmp_path):
 def test_bad_value_reports_field(tmp_path, field, index, value):
     path = tmp_path / "a.json"
     write_bad_field_value(path, field, index, value)
-    with pytest.raises(fs.InstanceParseError, match=f"'{field}'"):
+    with pytest.raises(fs.InstanceParseError) as refused:
         fs.read_instance(path)
+    assert str(refused.value).startswith(f"{path}: field '{field}'")
 
 
 @pytest.mark.parametrize("field, value, named", [
@@ -439,6 +444,8 @@ def test_bad_value_reports_field(tmp_path, field, index, value):
     pytest.param("candidates", [8, 9], "field 'candidates' must list 4 indices",
                  id="candidates-count"),
     pytest.param("labels", ["a"], "field 'labels' must list 4 names", id="labels-count"),
+    pytest.param("labels", [1, None, {"a": 1}, [2]], "field 'labels' must list 4 names",
+                 id="labels-not-strings"),
     pytest.param("k", 5, "budget k=5 outside [1, m=4]", id="budget-over-m"),
 ])
 def test_reader_refuses_a_malformed_structure(tmp_path, field, value, named):
@@ -458,3 +465,91 @@ def test_reader_refuses_a_broken_walk_bound(tmp_path):
     with pytest.raises(fs.InstanceParseError,
                        match="field 'walk': agent 0's walk 10.0 exceeds its route 2.0"):
         fs.read_instance(path)
+
+
+def test_euclidean_is_the_expression_form_in_two_buffers():
+    for seed in range(3):
+        pts = np.random.default_rng(seed).uniform(0.0, 1.0, size=(500 + 250 * seed, 2))
+        pts[1] = pts[0]  # one coincident pair: a zero offset off the diagonal
+        dx, dy = (pts[:, None, i] - pts[None, :, i] for i in (0, 1))
+        want = np.sqrt(dx * dx + dy * dy)
+        del dx, dy
+        tracemalloc.start()
+        got = fs.instances._euclidean(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        assert peak <= 2.1 * got.nbytes
+
+
+DISTANCES = st.one_of(
+    st.integers(0, 2**60),
+    st.floats(0.0, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308, INF]),
+)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    size = draw(st.integers(1, 5))
+    d = np.zeros((size, size))
+    for i, j in zip(*np.tril_indices(size)):
+        d[i, j] = d[j, i] = draw(DISTANCES)
+    return d
+
+
+def _file_instance(walk: np.ndarray, transit: np.ndarray) -> fs.Instance:
+    """One agent at point 0 and back, so the walk bound holds for any entries."""
+    walk = walk.copy()
+    walk[0, 0] = 0.0
+    return fs.Instance(endpoints=[(0, 0)], candidates=range(len(transit)),
+                       walk=fs.Metric(walk), transit=fs.Metric(transit), k=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_matrices())
+def test_codec_round_trips_any_distances(tmp_path_factory, d):
+    path = tmp_path_factory.mktemp("codec") / "a.json"
+    # Route sums of entries near the float maximum overflow to inf, as they should.
+    with np.errstate(over="ignore"):
+        inst = _file_instance(d, d)
+        fs.write_instance(inst, path)
+        first = path.read_bytes()
+        back = fs.read_instance(path)
+        fs.write_instance(back, path)
+    assert back.walk == inst.walk and back.transit == inst.transit
+    for got, want in ((back.walk, inst.walk), (back.transit, inst.transit)):
+        assert np.array_equal(np.signbit(got.dist), np.signbit(want.dist))
+    assert path.read_bytes() == first
+
+
+@pytest.mark.parametrize("field", ["walk", "transit"])
+@pytest.mark.parametrize("value", [-INF, math.nan, -1.0], ids=["minus-inf", "nan", "negative"])
+def test_a_written_bad_distance_is_refused_on_reading(tmp_path, field, value):
+    # In the walk, entry (2, 0) joins two agents' origins, so no route reads it.
+    base = fs.random_euclidean(4, 4, 2, 0, transit="random")
+    dist = {"walk": base.walk.dist.copy(), "transit": base.transit.dist.copy()}
+    dist[field][2, 0] = dist[field][0, 2] = value
+    inst = fs.Instance(endpoints=base.endpoints, candidates=base.candidates,
+                       walk=fs.Metric(dist["walk"]), transit=fs.Metric(dist["transit"]), k=2)
+    path = tmp_path / "bad.json"
+    fs.write_instance(inst, path)
+    with pytest.raises(fs.InstanceParseError) as refused:
+        fs.read_instance(path)
+    assert str(refused.value).startswith(f"{path}: field '{field}': bad entry ")
+
+
+ROUND_TRIP_INSTANCES = family_instances() + [
+    (f"random {mode}", fs.random_euclidean(30, 9, 3, 1, transit=mode, factor=0.7))
+    for mode in ("null", "random", "scaled")
+]
+
+
+@pytest.mark.parametrize("inst", [inst for _, inst in ROUND_TRIP_INSTANCES],
+                         ids=[name for name, _ in ROUND_TRIP_INSTANCES])
+def test_write_read_write_is_byte_identical(tmp_path, inst):
+    fs.write_instance(inst, tmp_path / "a.json")
+    back = fs.read_instance(tmp_path / "a.json")
+    fs.write_instance(back, tmp_path / "b.json")
+    assert back == inst
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
